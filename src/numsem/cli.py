@@ -4,8 +4,8 @@ suites, closed-form counts, and the growth-constant series.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 Aggregates are cached one JSON file per genus with every number rendered as a
 decimal string and a sha256 checksum over the canonical serialization; writes
-are atomic (write temp, rename) and corrupt files are quarantined and
-recomputed.
+are atomic (a unique temp file, fsync, rename) and corrupt files, or files
+holding another genus, are quarantined and recomputed.
 """
 
 from __future__ import annotations
@@ -85,18 +85,27 @@ def cache_put(cache_dir, agg, wall_time=0.0):
         {k: v for k, v in payload.items() if k != "checksum"}
     )
     path = _cache_path(cache_dir, agg.genus)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, path)
+    # A temp file of its own per writer, on disk before the rename, so that
+    # concurrent writers and crashes leave either no file or a whole one.
+    tmp = f"{path}.{os.getpid()}-{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "x") as fh:
+            json.dump(payload, fh, sort_keys=True)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the rename failed
+            os.remove(tmp)
     return path
 
 
 def cache_get(cache_dir, genus):
     """Cached aggregate, or None on miss / version skew.
 
-    A file that parses but fails its checksum is quarantined (renamed with a
-    .corrupt suffix) and CorruptCache is raised; callers recompute.
+    A file that does not parse, fails its checksum or holds another genus is
+    quarantined (renamed with a .corrupt suffix) and CorruptCache is raised;
+    callers recompute.
     """
     path = _cache_path(cache_dir, genus)
     if not os.path.exists(path):
@@ -114,6 +123,9 @@ def cache_get(cache_dir, genus):
     if stored != actual:
         os.replace(path, path + ".corrupt")
         raise CorruptCache(f"checksum mismatch, quarantined: {path}")
+    if payload.get("genus") != str(genus):
+        os.replace(path, path + ".corrupt")
+        raise CorruptCache(f"holds genus {payload.get('genus')}, quarantined: {path}")
     body = {
         k: v
         for k, v in payload.items()

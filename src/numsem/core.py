@@ -61,7 +61,7 @@ def _min_gens_mask(mask, m, F):
     return mask & window & ~_sums_mask(mask, m, F)
 
 
-def _pf_mask(mask, m, F, capacity, gens_mask):
+def _pf_mask(mask, m, F, gens_mask):
     """Bitmask of the pseudo-Frobenius numbers (subset of the gaps).
 
     A gap P is pseudo-Frobenius iff P + a is a member for every minimal
@@ -70,7 +70,7 @@ def _pf_mask(mask, m, F, capacity, gens_mask):
     if F < 0:
         return 0
     gaps = ~mask & ((1 << (F + 1)) - 1)
-    ext = mask | (-1 << capacity)  # everything past the window is a member
+    ext = mask | (-1 << (F + 1))  # everything past F is a member
     pf = gaps
     gm = gens_mask
     while gm and pf:
@@ -87,6 +87,32 @@ def _bit_positions(mask):
         out.append(low.bit_length() - 1)
         mask &= mask - 1
     return out
+
+
+_BYTE_POSITION_SUM = tuple(sum(_bit_positions(b)) for b in range(256))
+
+
+def _leaf(mask, m, F):
+    """(e, e1, t, t1, alpha) from a membership mask, for both ``invariants``
+    and ``stats.Accumulator.add_leaf``.  e1 and t1 count the members in
+    [m, 2m) and the gaps in (F - m, F]; alpha sums the gaps a byte at a time.
+    """
+    if F < 0:  # the full monoid
+        return 1, 1, 0, 0, 0
+    gens_mask = _min_gens_mask(mask, m, F)
+    window = (1 << m) - 1
+    e1 = (mask >> m & window).bit_count()
+    t1 = m - (mask >> (F - m + 1) & window).bit_count()
+    t = _pf_mask(mask, m, F, gens_mask).bit_count()
+    gaps = ~mask & ((1 << (F + 1)) - 1)
+    alpha = 0
+    base = 0
+    while gaps:
+        b = gaps & 255
+        alpha += _BYTE_POSITION_SUM[b] + base * b.bit_count()
+        gaps >>= 8
+        base += 8
+    return gens_mask.bit_count(), e1, t, t1, alpha
 
 
 class SemigroupSet:
@@ -244,24 +270,14 @@ def pseudo_frobenius(S):
         return ()
     gm = _min_gens_mask(S.mask, S.multiplicity, S.frobenius)
     return tuple(
-        _bit_positions(_pf_mask(S.mask, S.multiplicity, S.frobenius, S.capacity, gm))
+        _bit_positions(_pf_mask(S.mask, S.multiplicity, S.frobenius, gm))
     )
 
 
 def invariants(S):
     """Compute the full invariant record of one semigroup in a single pass."""
-    mask, m, F, g = S.mask, S.multiplicity, S.frobenius, S.genus
-    gens_mask = _min_gens_mask(mask, m, F)
-    e = gens_mask.bit_count()
-    if F < 0:
-        return InvariantRecord(0, 1, -1, 1, 1, 0, 0, 0, 0, 0, 0)
-    e1 = (mask & (((1 << m) - 1) << m)).bit_count()
-    pf = _pf_mask(mask, m, F, S.capacity, gens_mask)
-    t = pf.bit_count()
-    lo = F - m + 1
-    t1_window = ((1 << (F - lo + 1)) - 1) << lo
-    t1 = (~mask & t1_window).bit_count()
-    alpha = sum(_bit_positions(~mask & ((1 << (F + 1)) - 1)))
+    m, F, g = S.multiplicity, S.frobenius, S.genus
+    e, e1, t, t1, alpha = _leaf(S.mask, m, F)
     w = alpha - g * (g + 1) // 2
     return InvariantRecord(g, m, F, e, e1, e - e1, t, t1, t - t1, w, alpha)
 

@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .core import _min_gens_mask, _pf_mask
+from .core import _bit_positions, _leaf
 from .errors import (
     GenusMismatch,
     MissingAggregate,
@@ -270,48 +268,34 @@ def figure_data(figure_id, aggregates, g_range, epsilons=None):
 
 
 class Accumulator:
-    """Mutable per-worker statistics sink; finalize() yields a GenusAggregate.
+    """Mutable statistics sink of one task; finalize() yields a GenusAggregate.
 
-    Not thread-safe; each worker owns one and the driver merges the results.
+    add_leaf only counts (histograms, two counters, gap bytes per offset,
+    gap sets among the decile points) and finalize derives the rest, so a
+    parallel run folds its tasks' accumulators with merge_in and finalizes
+    once.  The counts do not depend on ``capacity``, the walk's mask width.
+    Not thread-safe; each task owns one.
     """
 
     def __init__(self, genus, capacity):
         g = genus
-        self.genus = genus
-        self.capacity = capacity
-        self.nbytes = (capacity + 7) // 8
+        self.genus = g
         self.count = 0
         sizes = _hist_sizes(g)
-        self.hist = {k: np.zeros(sizes[k], np.int64) for k in _HIST_KEYS}
-        self.moments = {k: 0 for k in _MOMENT_KEYS}
+        self.hist = {k: [0] * sizes[k] for k in _HIST_KEYS}
         self.c_e_half = 0
         self.c_e_third = 0
-        self.membership = np.zeros(2 * g + 1, np.int64)
+        # gap_bytes[256 * j + b]: leaves whose gaps in [8j, 8j + 8) are the
+        # bits of b; every gap is below 2g.
+        self.gap_bytes = [0] * (256 * ((2 * g + 7) // 8))
         self.pairs = decile_pairs(g)
-        if self.pairs:
-            self._pi = np.array([p[0] for p in self.pairs])
-            self._pj = np.array([p[1] for p in self.pairs])
-        self.pair_miss = np.zeros(len(self.pairs), np.int64)
-        self._idx = np.arange(capacity, dtype=np.int64)
+        self._decile_mask = sum(1 << n for n in {n for p in self.pairs for n in p})
+        self.decile_gaps = {}  # gaps & _decile_mask -> leaves
 
     def add_leaf(self, mask, m, F):
         g = self.genus
-        vec = np.unpackbits(
-            np.frombuffer(mask.to_bytes(self.nbytes, "little"), np.uint8),
-            bitorder="little",
-        )[: self.capacity]
-        gens_mask = _min_gens_mask(mask, m, F)
-        e = gens_mask.bit_count()
-        if F < 0:  # the full monoid (genus 0)
-            m_, e1, t, t1, alpha, w = 1, 1, 0, 0, 0, 0
-            m = m_
-        else:
-            e1 = int(vec[m : 2 * m].sum())
-            pf = _pf_mask(mask, m, F, self.capacity, gens_mask)
-            t = pf.bit_count()
-            t1 = int(m - vec[F - m + 1 : F + 1].sum())
-            alpha = int(((1 - vec[: F + 1]) * self._idx[: F + 1]).sum())
-            w = alpha - g * (g + 1) // 2
+        e, e1, t, t1, alpha = _leaf(mask, m, F)
+        w = alpha - g * (g + 1) // 2
         self.count += 1
         h = self.hist
         h["m"][m] += 1
@@ -324,62 +308,67 @@ class Accumulator:
         h["t2"][t - t1] += 1
         h["w"][w] += 1
         h["fdiff"][F - 2 * m + g + 2] += 1
-        mo = self.moments
-        mo["e"] += e
-        mo["e1"] += e1
-        mo["e2"] += e - e1
-        mo["t"] += t
-        mo["t1"] += t1
-        mo["t2"] += t - t1
-        mo["w"] += w
-        mo["alpha"] += alpha
-        mo["w2"] += w * w
-        mo["alpha2"] += alpha * alpha
         if 2 * e >= m:
             self.c_e_half += 1
         if 3 * e >= m:
             self.c_e_third += 1
-        if g:
-            self.membership[1 : 2 * g + 1] += vec[1 : 2 * g + 1]
-        if self.pairs:
-            self.pair_miss += (vec[self._pi] | vec[self._pj]) == 0
+        gaps = ~mask & ((1 << (F + 1)) - 1)
+        gb = self.gap_bytes
+        j = 0
+        while gaps:
+            gb[j + (gaps & 255)] += 1
+            gaps >>= 8
+            j += 256
+        key = ~mask & self._decile_mask
+        self.decile_gaps[key] = self.decile_gaps.get(key, 0) + 1
 
     def merge_in(self, other):
+        """Add the counts of another accumulator of the same genus."""
+        if other.genus != self.genus:
+            raise GenusMismatch(f"cannot merge genus {self.genus} with {other.genus}")
         self.count += other.count
         for k in _HIST_KEYS:
-            self.hist[k] += other.hist[k]
-        for k in _MOMENT_KEYS:
-            self.moments[k] += other.moments[k]
+            self.hist[k] = [x + y for x, y in zip(self.hist[k], other.hist[k])]
         self.c_e_half += other.c_e_half
         self.c_e_third += other.c_e_third
-        self.membership += other.membership
-        self.pair_miss += other.pair_miss
+        self.gap_bytes = [x + y for x, y in zip(self.gap_bytes, other.gap_bytes)]
+        for key, n in other.decile_gaps.items():
+            self.decile_gaps[key] = self.decile_gaps.get(key, 0) + n
 
     def finalize(self):
         g = self.genus
-        fdiff = self.hist["fdiff"]
+        h = self.hist
+        # The first seven moments, e .. w, are sums over their histograms.
+        moments = {k: sum(i * n for i, n in enumerate(h[k])) for k in _MOMENT_KEYS[:7]}
+        shift = g * (g + 1) // 2  # alpha = w + shift
+        moments["alpha"] = moments["w"] + shift * self.count
+        moments["w2"] = sum(w * w * n for w, n in enumerate(h["w"]))
+        moments["alpha2"] = sum((w + shift) ** 2 * n for w, n in enumerate(h["w"]))
+        fdiff = h["fdiff"]
         off = g + 2
-        f_lt_2m = int(fdiff[:off].sum())
-        per_k = tuple(
-            int(fdiff[off + k]) if off + k < len(fdiff) else 0
-            for k in range(1, K_MAX + 1)
-        )
-        overflow = int(fdiff[off + K_MAX + 1 :].sum())
-        symmetric = int(self.hist["F"][2 * g]) if g else 0
+        per_k = tuple((fdiff[off + 1 : off + K_MAX + 1] + [0] * K_MAX)[:K_MAX])
+        gap_count = [0] * (2 * g + 1)
+        for idx, n in enumerate(self.gap_bytes):
+            if n:
+                for p in _bit_positions(idx & 255):
+                    gap_count[8 * (idx >> 8) + p] += n
         return GenusAggregate(
             genus=g,
             count=self.count,
-            hist={k: tuple(int(x) for x in self.hist[k]) for k in _HIST_KEYS},
-            moments={k: int(v) for k, v in self.moments.items()},
+            hist={k: tuple(h[k]) for k in _HIST_KEYS},
+            moments=moments,
             counters={
                 "e_ge_m_half": self.c_e_half,
                 "e_ge_m_third": self.c_e_third,
-                "symmetric": symmetric,
-                "f_lt_2m": f_lt_2m,
+                "symmetric": h["F"][2 * g] if g else 0,
+                "f_lt_2m": sum(fdiff[:off]),
                 "f_minus_2m": per_k,
-                "f_minus_2m_overflow": overflow,
+                "f_minus_2m_overflow": sum(fdiff[off + K_MAX + 1 :]),
             },
-            membership=tuple(int(x) for x in self.membership),
+            membership=(0,) + tuple(self.count - c for c in gap_count[1:]),
             pairs=self.pairs,
-            pair_miss=tuple(int(x) for x in self.pair_miss),
+            pair_miss=tuple(
+                sum(n for key, n in self.decile_gaps.items() if key >> i & key >> j & 1)
+                for i, j in self.pairs
+            ),
         )

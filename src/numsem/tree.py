@@ -6,16 +6,16 @@ unique parent, so the tree rooted at the full monoid visits every numerical
 semigroup exactly once, with genus equal to tree depth.
 
 Enumeration runs serially to ``split_depth`` and then fans the frontier
-subtrees out to worker processes, splitting the ordinary semigroup's subtree
-further by multiplicity; each task owns an Accumulator and the driver merges
-them, so the resulting GenusAggregate is byte-identical regardless of worker
-count.
+subtrees out to worker processes in one ``pool.map``: the ordinary
+semigroup's subtree is split further by multiplicity into large tasks, which
+go first, and the other frontier nodes are dealt round-robin into at most 8
+tasks per worker.  Each task returns its own Accumulator; the driver folds
+them with ``merge_in`` and finalizes once, so the resulting GenusAggregate
+is byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -41,14 +41,6 @@ def _capacity_for(genus):
     # F <= 2g-1 and m <= g+1, so F + 2m + 2 <= 4g + 3; round up generously
     # so one mask width serves the whole walk down to the target genus.
     return 4 * genus + 8
-
-
-def _effective_gen_positions(mask, m, F):
-    """Minimal generators strictly greater than F, ascending."""
-    if F < 0:
-        return [1]
-    gens = _min_gens_mask(mask, m, F) >> (F + 1)
-    return [F + 1 + p for p in _bit_positions(gens)]
 
 
 @dataclass(frozen=True)
@@ -77,10 +69,9 @@ def children(node):
         else:
             cap2 = S.capacity
         child = SemigroupSet(mask & ~(1 << y), cap2)
-        gens = _effective_gen_positions(
-            child.mask, child.multiplicity, child.frobenius
-        )
-        out.append(TreeNode(child, tuple(gens)))
+        m2, F2 = child.multiplicity, child.frobenius  # genus >= 1, so F2 >= 1
+        gens = _min_gens_mask(child.mask, m2, F2) >> (F2 + 1)
+        out.append(TreeNode(child, tuple(F2 + 1 + p for p in _bit_positions(gens))))
     return out
 
 
@@ -136,16 +127,19 @@ def _plan(g, threads, split_depth):
     return EnumerationPlan(g, split_depth, threads)
 
 
-def _collect_frontier(capacity, depth, target, levels):
-    """Split the tree into worker tasks ``(roots, g0)``; returns (large, small).
+def _tasks(capacity, depth, target, workers, levels):
+    """Split the tree into worker tasks ``(roots, g0)``, large ones first.
 
-    Every node at ``depth`` is the root of one small task, except the
-    ordinary semigroup O_{depth+1} = {0, depth+1, depth+2, ...}: its subtree
-    holds every semigroup of multiplicity > depth, which is most of the tree
-    at large genus (90.6% of the leaves at genus 30 with depth 14).  It is
-    split down the ordinary chain instead.  The children of O_k other than
-    O_{k+1} are the roots of every other semigroup of multiplicity k, and
-    each such group is one large task; O_{target+1} is one more small task.
+    The leftmost node at ``depth`` is the ordinary semigroup
+    O_{depth+1} = {0, depth+1, depth+2, ...}.  Its subtree holds every
+    semigroup of multiplicity > depth, which is most of the tree at large
+    genus (90.6% of the leaves at genus 30 with depth 14), so it is split
+    down the ordinary chain: the children of O_k other than O_{k+1} are the
+    roots of every other semigroup of multiplicity k, and each such group
+    is one large task; O_{target+1}, at depth ``target``, is one more task.
+    The other nodes at ``depth`` are dealt round-robin into at most
+    8 x ``workers`` tasks, which spreads the large subtrees at the left of
+    the walk.  The roots of one task share their depth ``g0``.
 
     Workers count the nodes from their own roots down; ``levels`` receives
     the nodes above the frontier and the chain nodes walked here.
@@ -157,7 +151,8 @@ def _collect_frontier(capacity, depth, target, levels):
     # Removing the multiplicity is always the first child, so the leftmost
     # node is O_{depth+1}.
     (mask, m, F), rest = frontier[0], frontier[1:]
-    small = [((node,), depth) for node in rest]
+    n = min(8 * workers, len(rest))
+    small = [(tuple(rest[i::n]), depth) for i in range(n)]
     large = []
     for d in range(depth, target):
         # O_m sits at depth d = m - 1 and its generators are m, ..., 2m - 1.
@@ -166,12 +161,11 @@ def _collect_frontier(capacity, depth, target, levels):
         if group:
             large.append((group, d + 1))
         mask, m, F = mask ^ (1 << m), m + 1, m
-    small.append((((mask, m, F),), target))
-    return large, small
+    return large + small + [(((mask, m, F),), target)]
 
 
 def _count_job(args):
-    roots, g0, target, capacity = args
+    roots, g0, target, _capacity = args
     levels = [0] * (target + 1)
     for mask, m, F in roots:
         _walk(mask, m, F, g0, target, lambda a, b, c: None, levels)
@@ -180,28 +174,20 @@ def _count_job(args):
 
 def _stats_job(args):
     roots, g0, target, capacity = args
-    sys.setrecursionlimit(10000)
     acc = Accumulator(target, capacity)
     levels = [0] * (target + 1)
     for mask, m, F in roots:
         _walk(mask, m, F, g0, target, acc.add_leaf, levels)
-    return acc.finalize().to_dict(), levels
+    return acc
 
 
 def _run_parallel(plan, capacity, job):
+    """Results of ``job`` on every task, in task order, and the driver's levels."""
     target = plan.target_genus
     levels = [0] * (target + 1)
-    large, small = _collect_frontier(capacity, plan.split_depth, target, levels)
+    tasks = _tasks(capacity, plan.split_depth, target, plan.worker_count, levels)
     with ProcessPoolExecutor(max_workers=plan.worker_count) as pool:
-        # Large tasks go first, one per submission, so that no worker takes
-        # several of them in one chunk; the small ones fill in behind.
-        futures = [pool.submit(job, (roots, g0, target, capacity)) for roots, g0 in large]
-        results = list(pool.map(
-            job,
-            [(roots, g0, target, capacity) for roots, g0 in small],
-            chunksize=max(1, len(small) // (8 * plan.worker_count)),
-        ))
-        results += [f.result() for f in futures]
+        results = list(pool.map(job, [(roots, g0, target, capacity) for roots, g0 in tasks]))
     return results, levels
 
 
@@ -221,7 +207,6 @@ def count_genus_series(gmax, threads=1, split_depth=None):
     if plan is None:
         levels = [0] * (gmax + 1)
         mask, m, F = _root_state(capacity)
-        sys.setrecursionlimit(10000)
         _walk(mask, m, F, 0, gmax, lambda a, b, c: None, levels)
         return levels
     results, levels = _run_parallel(plan, capacity, _count_job)
@@ -238,7 +223,6 @@ def iter_semigroups(g):
     capacity = _capacity_for(g)
     out = []
     mask, m, F = _root_state(capacity)
-    sys.setrecursionlimit(10000)
     levels = [0] * (g + 1)
     _walk(mask, m, F, 0, g, lambda a, b, c: out.append(a), levels)
     for leaf in out:
@@ -266,14 +250,10 @@ def enumerate_genus(g, visitor=None, threads=1, split_depth=None):
                 acc.add_leaf(mask, m, F)
                 visitor(invariants(SemigroupSet(mask, capacity)))
         mask, m, F = _root_state(capacity)
-        sys.setrecursionlimit(10000)
         _walk(mask, m, F, 0, g, on_leaf, [0] * (g + 1))
         return acc.finalize()
     results, _levels = _run_parallel(plan, capacity, _stats_job)
     acc = Accumulator(g, capacity)
-    from .stats import GenusAggregate, merge
-
-    agg = acc.finalize()
-    for d, _sub in results:
-        agg = merge(agg, GenusAggregate.from_dict(d))
-    return agg
+    for part in results:
+        acc.merge_in(part)
+    return acc.finalize()

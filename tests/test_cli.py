@@ -89,7 +89,8 @@ def test_figure3_comment_line(tmp_path):
 def test_cache_roundtrip(tmp_path):
     agg = enumerate_genus(6)
     path = cache_put(str(tmp_path), agg, 0.1)
-    assert os.path.exists(path)
+    cache_put(str(tmp_path), agg, 0.1)  # a second write replaces the file
+    assert os.listdir(tmp_path) == [os.path.basename(path)]  # no temp files left
     back = cache_get(str(tmp_path), 6)
     assert back == agg
     assert back.canonical_bytes() == agg.canonical_bytes()
@@ -129,6 +130,19 @@ def test_cache_corruption_quarantined(tmp_path):
     # the cli recovers by recomputing
     assert run(["enumerate", "--genus", "5", "--cache-dir", str(tmp_path)]) == 0
     assert cache_get(str(tmp_path), 5) == agg
+
+
+def test_cache_genus_mismatch_quarantined(tmp_path):
+    # a valid genus-6 file under the genus-5 name must not be served as genus 5
+    six = cache_put(str(tmp_path), enumerate_genus(6), 0.0)
+    path = os.path.join(str(tmp_path), "genus-5.json")
+    with open(six) as src, open(path, "w") as dst:
+        dst.write(src.read())
+    with pytest.raises(CorruptCache):
+        cache_get(str(tmp_path), 5)
+    assert not os.path.exists(path)
+    assert os.path.exists(path + ".corrupt")
+    assert cache_get(str(tmp_path), 6) == enumerate_genus(6)
 
 
 def test_cache_used_by_stats(tmp_path, capsys):

@@ -12,8 +12,10 @@ from numsem.errors import (
     UnknownPredicate,
     UntrackedElement,
 )
+from numsem.core import minimal_generators, pseudo_frobenius
 from numsem.stats import (
     GAMMA,
+    K_MAX,
     PHI,
     SQRT5,
     GenusAggregate,
@@ -111,17 +113,51 @@ def test_membership(agg4, agg8):
         membership_probability(agg4, 9)
 
 
+def _reference_aggregate(g):
+    """to_dict() of genus g, folded from the from-scratch core functions."""
+    ref = GenusAggregate.empty(g).to_dict()
+    h, mo, c = ref["histograms"], ref["moments"], ref["counters"]
+    for S in iter_semigroups(g):
+        gaps, m, F = S.gaps(), S.multiplicity, S.frobenius
+        gens, pf = minimal_generators(S), pseudo_frobenius(S)
+        e, e1 = len(gens), sum(a < 2 * m for a in gens)
+        t, t1 = len(pf), sum(p > F - m for p in pf)
+        alpha = sum(gaps)
+        w = alpha - g * (g + 1) // 2
+        ref["count"] += 1
+        values = {"m": m, "e": e, "e1": e1, "e2": e - e1, "t": t, "t1": t1,
+                  "t2": t - t1, "w": w}
+        for name, v in values.items():
+            h[name][v] += 1
+        h["F"][F + 1] += 1
+        h["fdiff"][F - 2 * m + g + 2] += 1
+        for name, v in values.items():
+            if name != "m":
+                mo[name] += v
+        mo["alpha"] += alpha
+        mo["w2"] += w * w
+        mo["alpha2"] += alpha * alpha
+        c["e_ge_m_half"] += 2 * e >= m
+        c["e_ge_m_third"] += 3 * e >= m
+        c["symmetric"] += g > 0 and F == 2 * g - 1
+        c["f_lt_2m"] += F < 2 * m
+        if 1 <= F - 2 * m <= K_MAX:
+            c["f_minus_2m"][F - 2 * m - 1] += 1
+        c["f_minus_2m_overflow"] += F - 2 * m > K_MAX
+        for n in range(1, 2 * g + 1):
+            ref["membership"][n] += n in S
+        for idx, (i, j) in enumerate(ref["pairs"]):
+            ref["pair_miss"][idx] += i not in S and j not in S
+    return ref
+
+
 def test_membership_and_pair_miss_match_brute_force():
-    # Exact reference for every tracked element: folds of ``n in S`` over
-    # all semigroups of the genus.
+    # Exact reference for the whole aggregate (histograms, moments,
+    # counters, membership, pair_miss): folds of minimal_generators,
+    # pseudo_frobenius, S.gaps() and ``n in S`` over all semigroups of the
+    # genus.
     for g in range(17):
-        agg = enumerate_genus(g)
-        sgs = list(iter_semigroups(g))
-        membership = [0] + [sum(n in S for S in sgs) for n in range(1, 2 * g + 1)]
-        pair_miss = [sum(i not in S and j not in S for S in sgs) for i, j in agg.pairs]
-        assert agg.count == len(sgs)
-        assert list(agg.membership) == membership
-        assert list(agg.pair_miss) == pair_miss
+        assert enumerate_genus(g).to_dict() == _reference_aggregate(g), g
 
 
 def test_pair_miss(agg8):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from numsem.errors import GenusTooLarge
@@ -96,6 +98,21 @@ def test_merge_of_subtree_aggregates():
     b = enumerate_genus(8, threads=2, split_depth=6)
     assert a == b
     assert merge(a, type(a).empty(8)) == a
+
+
+def test_recursion_limit_unchanged():
+    # The walk is at most MAX_GENUS + 1 frames deep; a library call must
+    # leave the caller's interpreter limit alone.
+    old = sys.getrecursionlimit()
+    limit = old + 1  # a value no library call would pick
+    sys.setrecursionlimit(limit)
+    try:
+        count_genus_series(12)
+        enumerate_genus(12)
+        assert list(iter_semigroups(5))
+        assert sys.getrecursionlimit() == limit
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def test_plan_validation():
