@@ -93,17 +93,10 @@ _BYTE_POSITION_SUM = tuple(sum(_bit_positions(b)) for b in range(256))
 
 
 def _leaf(mask, m, F):
-    """(e, e1, t, t1, alpha) from a membership mask, for both ``invariants``
-    and ``stats.Accumulator.add_leaf``.  e1 and t1 count the members in
-    [m, 2m) and the gaps in (F - m, F]; alpha sums the gaps a byte at a time.
+    """(e, t, alpha) from a membership mask, from scratch: the reference for
+    the state the tree kernel carries.  alpha sums the gaps a byte at a time.
     """
-    if F < 0:  # the full monoid
-        return 1, 1, 0, 0, 0
     gens_mask = _min_gens_mask(mask, m, F)
-    window = (1 << m) - 1
-    e1 = (mask >> m & window).bit_count()
-    t1 = m - (mask >> (F - m + 1) & window).bit_count()
-    t = _pf_mask(mask, m, F, gens_mask).bit_count()
     gaps = ~mask & ((1 << (F + 1)) - 1)
     alpha = 0
     base = 0
@@ -112,7 +105,13 @@ def _leaf(mask, m, F):
         alpha += _BYTE_POSITION_SUM[b] + base * b.bit_count()
         gaps >>= 8
         base += 8
-    return gens_mask.bit_count(), e1, t, t1, alpha
+    return gens_mask.bit_count(), _pf_mask(mask, m, F, gens_mask).bit_count(), alpha
+
+
+def _windows(mask, m, F):
+    """(e1, t1): the members in [m, 2m) and the gaps in (F - m, F]."""
+    gaps = ~mask & ((1 << (F + 1)) - 1)
+    return (mask >> m & ((1 << m) - 1)).bit_count(), (gaps << m >> (F + 1)).bit_count()
 
 
 class SemigroupSet:
@@ -266,18 +265,15 @@ def minimal_generators(S):
 
 def pseudo_frobenius(S):
     """The pseudo-Frobenius numbers, as a sorted tuple (empty for the full monoid)."""
-    if S.genus == 0:
-        return ()
-    gm = _min_gens_mask(S.mask, S.multiplicity, S.frobenius)
-    return tuple(
-        _bit_positions(_pf_mask(S.mask, S.multiplicity, S.frobenius, gm))
-    )
+    m, F = S.multiplicity, S.frobenius
+    return tuple(_bit_positions(_pf_mask(S.mask, m, F, _min_gens_mask(S.mask, m, F))))
 
 
 def invariants(S):
     """Compute the full invariant record of one semigroup in a single pass."""
     m, F, g = S.multiplicity, S.frobenius, S.genus
-    e, e1, t, t1, alpha = _leaf(S.mask, m, F)
+    e, t, alpha = _leaf(S.mask, m, F)
+    e1, t1 = _windows(S.mask, m, F)
     w = alpha - g * (g + 1) // 2
     return InvariantRecord(g, m, F, e, e1, e - e1, t, t1, t - t1, w, alpha)
 

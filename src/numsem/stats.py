@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _bit_positions, _leaf
+from .core import _bit_positions, _leaf, _windows
 from .errors import (
     GenusMismatch,
     MissingAggregate,
@@ -293,8 +293,12 @@ class Accumulator:
         self.decile_gaps = {}  # gaps & _decile_mask -> leaves
 
     def add_leaf(self, mask, m, F):
+        self._add(mask, m, F, *_leaf(mask, m, F))
+
+    def _add(self, mask, m, F, e, t, alpha):
+        """add_leaf with e, t and alpha given, as the tree kernel carries them."""
         g = self.genus
-        e, e1, t, t1, alpha = _leaf(mask, m, F)
+        e1, t1 = _windows(mask, m, F)
         w = alpha - g * (g + 1) // 2
         self.count += 1
         h = self.hist

@@ -5,21 +5,26 @@ strictly greater than F(S); re-adding the Frobenius number recovers the
 unique parent, so the tree rooted at the full monoid visits every numerical
 semigroup exactly once, with genus equal to tree depth.
 
-Enumeration runs serially to ``split_depth`` and then fans the frontier
-subtrees out to worker processes in one ``pool.map``: the ordinary
-semigroup's subtree is split further by multiplicity into large tasks, which
-go first, and the other frontier nodes are dealt round-robin into at most 8
-tasks per worker.  Each task returns its own Accumulator; the driver folds
-them with ``merge_in`` and finalizes once, so the resulting GenusAggregate
-is byte-identical regardless of worker count.
+Every walk runs one kernel (Fromentin & Hivert, arXiv:1305.3831).  A node's
+state is ``(mask, rev, m, F, eff, e, pf, alpha, g)``: the membership mask
+and its bit reversal in one width W, m, F, the effective generators (the
+minimal generators above F) as a mask, e, the pseudo-Frobenius numbers as a
+mask, the gap sum and the genus.  ``_children`` derives each child's state
+from its parent's in O(1) big-int steps.  Counting stops a level early: the
+nodes of the last level are the effective generators of the level above.
+
+Parallel runs walk serially to ``split_depth`` and map the frontier subtrees
+onto worker processes (see ``_tasks``); the driver folds the tasks'
+Accumulators with ``merge_in`` and finalizes once, so the GenusAggregate is
+byte-identical whatever the worker count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .core import SemigroupSet, _bit_positions, _min_gens_mask, invariants
+from .core import SemigroupSet, invariants
 from .errors import GenusTooLarge
 from .stats import Accumulator
 
@@ -37,10 +42,91 @@ __all__ = [
 ]
 
 
-def _capacity_for(genus):
-    # F <= 2g-1 and m <= g+1, so F + 2m + 2 <= 4g + 3; round up generously
-    # so one mask width serves the whole walk down to the target genus.
-    return 4 * genus + 8
+def _width(g):
+    """The mask width W of a walk down to genus g, which must be in range."""
+    if g > MAX_GENUS:
+        raise GenusTooLarge(f"genus {g} exceeds the maximum {MAX_GENUS}")
+    if g < 0:
+        raise ValueError("genus must be nonnegative")
+    # F <= 2g-1 and m <= g+1, so F + 2m + 2 <= 4g + 3; rounded up generously.
+    return 4 * g + 8
+
+
+def _root(width):
+    full = (1 << width) - 1
+    return (full, full, 1, -1, 0b10, 1, 0, 0, 0)
+
+
+def _children(state, top):
+    """Kernel states of the children, in ascending order of the removed y.
+
+    Only y + m can become a generator: for a member a > m, y + a is
+    m + (y + a - m).  ``top`` is W - 1, so bit j of ``rev >> (top - n)`` is
+    set iff n - j is a member.
+    """
+    mask, rev, m, F, eff, e, pf, alpha, g = state
+    g += 1
+    out = []
+    add = out.append
+    while eff:
+        low = eff & -eff
+        eff ^= low  # the generators above y, which stay minimal in the child
+        y = low.bit_length() - 1
+        c = mask ^ low
+        ty = top - y
+        r = rev ^ (1 << ty)
+        # PF(S - y) = {y} and the p in PF(S) with y - p not in S - y.
+        p = pf & ~(r >> ty) | low
+        if y == m:  # S is ordinary; the child's generators are m+1 .. 2m+1
+            add((c, r, m + 1, y, ((1 << (m + 1)) - 1) << (m + 1), m + 1, p, alpha + y, g))
+        elif c & (r >> (ty - m)) & ((1 << (y + m)) - 2):  # y + m = a + b, a, b in c
+            add((c, r, m, y, eff, e - 1, p, alpha + y, g))
+        else:  # y + m is the one new generator
+            add((c, r, m, y, eff | 1 << (y + m), e, p, alpha + y, g))
+    return out
+
+
+def _walk(roots, depth, width, levels):
+    """Yield the states at ``depth`` below ``roots`` (of one depth), depth first
+    with an explicit stack and children in ascending order of the removed
+    generator; ``levels[d]`` counts the nodes at depth d, roots included.
+    """
+    top = width - 1
+    levels[roots[0][8]] += len(roots)
+    stack = list(reversed(roots))
+    while stack:
+        state = stack.pop()
+        g = state[8]
+        if g == depth:
+            yield state
+            continue
+        kids = _children(state, top)
+        levels[g + 1] += len(kids)
+        stack.extend(reversed(kids))
+
+
+def _count_job(args):
+    """Nodes per depth below one task's roots, which share their depth."""
+    roots, target, width = args
+    levels = [0] * (target + 1)
+    if roots[0][8] == target:
+        levels[target] = len(roots)
+    else:
+        levels[target] = sum(s[4].bit_count() for s in _walk(roots, target - 1, width, levels))
+    return levels
+
+
+def _stats_job(args, visitor=None):
+    roots, target, width = args
+    acc = Accumulator(target, width)
+    for mask, _, m, F, _, e, pf, alpha, _ in _walk(roots, target, width, [0] * (target + 1)):
+        acc._add(mask, m, F, e, pf.bit_count(), alpha)
+        if visitor is not None:
+            visitor(invariants(SemigroupSet(mask, width)))
+    return acc
+
+
+_TREE_WIDTH = _width(MAX_GENUS)
 
 
 @dataclass(frozen=True)
@@ -49,30 +135,23 @@ class TreeNode:
 
     semigroup: SemigroupSet
     effective_generators: tuple
+    state: tuple = field(repr=False, compare=False)  # the kernel state
+
+
+def _node(state):
+    eff = state[4]
+    gens = tuple(y for y in range(eff.bit_length()) if eff >> y & 1)
+    return TreeNode(SemigroupSet(state[0], _TREE_WIDTH), gens, state)
 
 
 def root():
-    from .core import _full_monoid
-
-    return TreeNode(_full_monoid(), (1,))
+    return _node(_root(_TREE_WIDTH))
 
 
 def children(node):
     """Child nodes in ascending order of the removed generator."""
-    S = node.semigroup
-    out = []
-    for y in node.effective_generators:
-        cap2 = y + 2 * (S.multiplicity + 1) + 2
-        mask = S.mask
-        if cap2 > S.capacity:
-            mask |= ((1 << (cap2 - S.capacity)) - 1) << S.capacity
-        else:
-            cap2 = S.capacity
-        child = SemigroupSet(mask & ~(1 << y), cap2)
-        m2, F2 = child.multiplicity, child.frobenius  # genus >= 1, so F2 >= 1
-        gens = _min_gens_mask(child.mask, m2, F2) >> (F2 + 1)
-        out.append(TreeNode(child, tuple(F2 + 1 + p for p in _bit_positions(gens))))
-    return out
+    _width(node.semigroup.genus + 1)  # raises GenusTooLarge past MAX_GENUS
+    return [_node(state) for state in _children(node.state, _TREE_WIDTH - 1)]
 
 
 @dataclass(frozen=True)
@@ -90,104 +169,54 @@ class EnumerationPlan:
             raise ValueError("worker_count must be positive")
 
 
-def _walk(mask, m, F, g, target, on_leaf, levels):
-    """Depth-first over the subtree; counts every visited node per level."""
-    levels[g] += 1
-    if g == target:
-        on_leaf(mask, m, F)
-        return
-    if F < 0:
-        cands = (1,)
-    else:
-        gens = _min_gens_mask(mask, m, F) >> (F + 1)
-        if not gens:
-            return
-        cands = tuple(F + 1 + p for p in _bit_positions(gens))
-    for y in cands:
-        mask2 = mask ^ (1 << y)
-        if y == m:
-            rest = mask2 >> (m + 1)
-            m2 = m + 1 + (rest & -rest).bit_length() - 1
-        else:
-            m2 = m
-        _walk(mask2, m2, y, g + 1, target, on_leaf, levels)
-
-
-def _root_state(capacity):
-    return (1 << capacity) - 1, 1, -1
-
-
 def _plan(g, threads, split_depth):
-    if threads is None or threads < 1:
-        threads = 1
-    if g == 0 or threads == 1:
+    if g == 0 or threads is None or threads <= 1:
         return None
     if split_depth is None:
         split_depth = min(DEFAULT_SPLIT_DEPTH, g - 1)
     return EnumerationPlan(g, split_depth, threads)
 
 
-def _tasks(capacity, depth, target, workers, levels):
-    """Split the tree into worker tasks ``(roots, g0)``, large ones first.
+def _tasks(width, depth, target, workers, levels):
+    """Split the tree into worker tasks, large ones first.
 
-    The leftmost node at ``depth`` is the ordinary semigroup
-    O_{depth+1} = {0, depth+1, depth+2, ...}.  Its subtree holds every
-    semigroup of multiplicity > depth, which is most of the tree at large
-    genus (90.6% of the leaves at genus 30 with depth 14), so it is split
-    down the ordinary chain: the children of O_k other than O_{k+1} are the
-    roots of every other semigroup of multiplicity k, and each such group
-    is one large task; O_{target+1}, at depth ``target``, is one more task.
-    The other nodes at ``depth`` are dealt round-robin into at most
+    A task is a tuple of kernel states of one depth, from which a worker
+    resumes the walk.  The leftmost node at ``depth`` is the ordinary
+    semigroup O_{depth+1}; its subtree holds every semigroup of multiplicity
+    > depth, most of the tree at large genus (90.6% of the leaves at genus 30
+    with depth 14), so it is split down the ordinary chain: the children of
+    O_k other than O_{k+1} (every other semigroup of multiplicity k) make one
+    large task each, and O_{target+1}, at depth ``target``, one more.  The
+    other nodes at ``depth`` are dealt round-robin into at most
     8 x ``workers`` tasks, which spreads the large subtrees at the left of
-    the walk.  The roots of one task share their depth ``g0``.
+    the walk.
 
     Workers count the nodes from their own roots down; ``levels`` receives
     the nodes above the frontier and the chain nodes walked here.
     """
-    frontier = []
-    mask, m, F = _root_state(capacity)
-    _walk(mask, m, F, 0, depth, lambda a, b, c: frontier.append((a, b, c)), levels)
+    frontier = list(_walk([_root(width)], depth, width, levels))
     levels[depth] = 0
     # Removing the multiplicity is always the first child, so the leftmost
     # node is O_{depth+1}.
-    (mask, m, F), rest = frontier[0], frontier[1:]
+    state, rest = frontier[0], frontier[1:]
     n = min(8 * workers, len(rest))
-    small = [(tuple(rest[i::n]), depth) for i in range(n)]
+    small = [tuple(rest[i::n]) for i in range(n)]
     large = []
     for d in range(depth, target):
-        # O_m sits at depth d = m - 1 and its generators are m, ..., 2m - 1.
         levels[d] += 1
-        group = tuple((mask ^ (1 << y), m, y) for y in range(m + 1, 2 * m))
+        state, *group = _children(state, width - 1)
         if group:
-            large.append((group, d + 1))
-        mask, m, F = mask ^ (1 << m), m + 1, m
-    return large + small + [(((mask, m, F),), target)]
+            large.append(tuple(group))
+    return large + small + [(state,)]
 
 
-def _count_job(args):
-    roots, g0, target, _capacity = args
-    levels = [0] * (target + 1)
-    for mask, m, F in roots:
-        _walk(mask, m, F, g0, target, lambda a, b, c: None, levels)
-    return levels
-
-
-def _stats_job(args):
-    roots, g0, target, capacity = args
-    acc = Accumulator(target, capacity)
-    levels = [0] * (target + 1)
-    for mask, m, F in roots:
-        _walk(mask, m, F, g0, target, acc.add_leaf, levels)
-    return acc
-
-
-def _run_parallel(plan, capacity, job):
+def _run_parallel(plan, width, job):
     """Results of ``job`` on every task, in task order, and the driver's levels."""
     target = plan.target_genus
     levels = [0] * (target + 1)
-    tasks = _tasks(capacity, plan.split_depth, target, plan.worker_count, levels)
+    tasks = _tasks(width, plan.split_depth, target, plan.worker_count, levels)
     with ProcessPoolExecutor(max_workers=plan.worker_count) as pool:
-        results = list(pool.map(job, [(roots, g0, target, capacity) for roots, g0 in tasks]))
+        results = list(pool.map(job, [(roots, target, width) for roots in tasks]))
     return results, levels
 
 
@@ -198,35 +227,19 @@ def count_genus(g, threads=1, split_depth=None):
 
 def count_genus_series(gmax, threads=1, split_depth=None):
     """[N(0), ..., N(gmax)] from a single tree walk."""
-    if gmax > MAX_GENUS:
-        raise GenusTooLarge(f"genus {gmax} exceeds the maximum {MAX_GENUS}")
-    if gmax < 0:
-        raise ValueError("genus must be nonnegative")
-    capacity = _capacity_for(gmax)
+    width = _width(gmax)
     plan = _plan(gmax, threads, split_depth)
     if plan is None:
-        levels = [0] * (gmax + 1)
-        mask, m, F = _root_state(capacity)
-        _walk(mask, m, F, 0, gmax, lambda a, b, c: None, levels)
-        return levels
-    results, levels = _run_parallel(plan, capacity, _count_job)
-    for sub in results:
-        for i, n in enumerate(sub):
-            levels[i] += n
-    return levels
+        return _count_job(((_root(width),), gmax, width))
+    results, levels = _run_parallel(plan, width, _count_job)
+    return [sum(n) for n in zip(levels, *results)]
 
 
 def iter_semigroups(g):
     """Yield every SemigroupSet of genus g (single-threaded, ascending-child order)."""
-    if g > MAX_GENUS:
-        raise GenusTooLarge(f"genus {g} exceeds the maximum {MAX_GENUS}")
-    capacity = _capacity_for(g)
-    out = []
-    mask, m, F = _root_state(capacity)
-    levels = [0] * (g + 1)
-    _walk(mask, m, F, 0, g, lambda a, b, c: out.append(a), levels)
-    for leaf in out:
-        yield SemigroupSet(leaf, capacity)
+    width = _width(g)
+    for state in _walk([_root(width)], g, width, [0] * (g + 1)):
+        yield SemigroupSet(state[0], width)
 
 
 def enumerate_genus(g, visitor=None, threads=1, split_depth=None):
@@ -235,25 +248,11 @@ def enumerate_genus(g, visitor=None, threads=1, split_depth=None):
     The visitor receives one InvariantRecord per semigroup and forces a
     single-threaded walk (it may close over arbitrary state).
     """
-    if g > MAX_GENUS:
-        raise GenusTooLarge(f"genus {g} exceeds the maximum {MAX_GENUS}")
-    if g < 0:
-        raise ValueError("genus must be nonnegative")
-    capacity = _capacity_for(g)
+    width = _width(g)
     plan = None if visitor is not None else _plan(g, threads, split_depth)
     if plan is None:
-        acc = Accumulator(g, capacity)
-        if visitor is None:
-            on_leaf = acc.add_leaf
-        else:
-            def on_leaf(mask, m, F):
-                acc.add_leaf(mask, m, F)
-                visitor(invariants(SemigroupSet(mask, capacity)))
-        mask, m, F = _root_state(capacity)
-        _walk(mask, m, F, 0, g, on_leaf, [0] * (g + 1))
-        return acc.finalize()
-    results, _levels = _run_parallel(plan, capacity, _stats_job)
-    acc = Accumulator(g, capacity)
-    for part in results:
+        return _stats_job(((_root(width),), g, width), visitor).finalize()
+    acc, *rest = _run_parallel(plan, width, _stats_job)[0]
+    for part in rest:
         acc.merge_in(part)
     return acc.finalize()

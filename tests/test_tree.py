@@ -1,11 +1,19 @@
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from numsem.core import SemigroupSet, minimal_generators, pseudo_frobenius
 from numsem.errors import GenusTooLarge
 from numsem.stats import merge
 from numsem.tree import (
+    MAX_GENUS,
     EnumerationPlan,
+    _children,
+    _root,
+    _width,
     children,
     count_genus,
     count_genus_series,
@@ -60,6 +68,61 @@ def test_iter_matches_count():
 def test_genus_too_large():
     with pytest.raises(GenusTooLarge):
         count_genus(46)
+    node = root()
+    for _ in range(MAX_GENUS):
+        node = children(node)[0]
+    with pytest.raises(GenusTooLarge):
+        children(node)
+
+
+def _bits(ns):
+    return sum(1 << n for n in ns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=20), st.data())
+def test_kernel_state_matches_from_scratch(depth, data):
+    # A random root-to-node path; the width is the one a walk to genus 20
+    # uses, so the shifts of the child step are as tight as they get.
+    width = _width(20)
+    state = _root(width)
+    for _ in range(depth + 1):
+        mask, rev, m, F, eff, e, pf, alpha, g = state
+        S = SemigroupSet(mask, width)
+        gens = minimal_generators(S)
+        assert (m, F, g) == (S.multiplicity, S.frobenius, S.genus)
+        assert eff == _bits(y for y in gens if y > F)
+        assert e == len(gens)
+        assert pf == _bits(pseudo_frobenius(S))
+        assert alpha == sum(S.gaps())
+        assert rev == int(format(mask, f"0{width}b")[::-1], 2)
+        kids = _children(state, width - 1)
+        if not kids:
+            break
+        state = kids[data.draw(st.integers(0, len(kids) - 1))]
+
+
+def test_iter_semigroups_is_lazy():
+    tracemalloc.start()
+    try:
+        next(iter_semigroups(28))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _leaves(node, depth):
+    if depth == 0:
+        yield node.semigroup.gaps()
+        return
+    for kid in children(node):
+        yield from _leaves(kid, depth - 1)
+
+
+def test_iter_semigroups_in_children_order():
+    for g in range(11):
+        assert [S.gaps() for S in iter_semigroups(g)] == list(_leaves(root(), g))
 
 
 def test_visitor_called_once_per_semigroup():
@@ -85,6 +148,20 @@ def test_partition_property_any_split_depth():
 
 def test_parallel_counts_match():
     assert count_genus_series(14, threads=4, split_depth=7) == count_genus_series(14)
+
+
+def test_parallel_matches_serial_at_every_split_depth():
+    # split_depth g - 1 puts the frontier where counting stops; every plan
+    # has a task rooted at depth g (O_{g+1}).
+    for g in range(1, 11):
+        serial = count_genus_series(g)
+        for d in range(g):
+            assert count_genus_series(g, threads=2, split_depth=d) == serial, (g, d)
+    for g in range(1, 9):
+        serial = enumerate_genus(g).canonical_bytes()
+        for d in range(g):
+            agg = enumerate_genus(g, threads=2, split_depth=d)
+            assert agg.canonical_bytes() == serial, (g, d)
 
 
 def test_parallel_counts_match_at_default_split_depth():
