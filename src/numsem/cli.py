@@ -259,13 +259,22 @@ def _cmd_prob(args):
     return 0
 
 
-def _add_common(p, genus=False, gmax=False):
+def _genus(text):
+    """argparse type of every --genus and --gmax: a nonnegative int."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, not {n}")
+    return n
+
+
+def _add_common(p, genus=False):
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--cache-dir", default=None)
     if genus:
-        p.add_argument("--genus", type=int, required=True)
-    if gmax:
-        p.add_argument("--gmax", type=int, default=None)
+        p.add_argument("--genus", type=_genus, required=True)
 
 
 def build_parser():
@@ -284,7 +293,7 @@ def build_parser():
     p = sub.add_parser("figures", help="emit CSV data for one figure family")
     _add_common(p)
     p.add_argument("--figure", type=int, choices=(1, 2, 3, 4, 5), required=True)
-    p.add_argument("--gmax", type=int, required=True)
+    p.add_argument("--gmax", type=_genus, required=True)
     p.add_argument("--eps", default=None, help="comma-separated epsilon list")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_figures)
@@ -294,13 +303,13 @@ def build_parser():
     p.add_argument(
         "--suite", required=True, choices=sorted(SUITES) + ["membership"]
     )
-    p.add_argument("--gmax", type=int, default=None)
-    p.add_argument("--genus", type=int, default=None, help="membership suite genus")
+    p.add_argument("--gmax", type=_genus, default=None)
+    p.add_argument("--genus", type=_genus, default=None, help="membership suite genus")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("count", help="closed-form deficit counts")
     p.add_argument("mode", choices=("multiplicity", "embedding"))
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_genus, required=True)
     p.add_argument("--deficit", type=int, required=True)
     p.set_defaults(fn=_cmd_count)
 

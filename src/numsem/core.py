@@ -143,10 +143,6 @@ class SemigroupSet:
         """Sorted tuple of the gaps."""
         return tuple(_bit_positions(~self.mask & ((1 << (self.frobenius + 1)) - 1)))
 
-    def members_upto(self, n):
-        """Sorted tuple of members in [0, n]."""
-        return tuple(i for i in range(n + 1) if i in self)
-
     def __eq__(self, other):
         if not isinstance(other, SemigroupSet):
             return NotImplemented

@@ -12,7 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .errors import (
     BadAlphabet,
@@ -21,6 +21,7 @@ from .errors import (
     OutOfValidityRangeWarning,
     PrefixConditionViolated,
 )
+from .polybounds import ExactPolynomial, binomial
 
 __all__ = [
     "PrefixTuple",
@@ -121,6 +122,12 @@ def generate_Y(k):
     return out
 
 
+def _prefix_term(g, p):
+    """binom(g - 3k - 2, k + 1 - a - 2b): the genus-g semigroups whose Kunz
+    prefix is the tuple p of Y(k), zero outside the binomial's range."""
+    return binomial(g - 3 * p.k - 2, p.k + 1 - p.a - 2 * p.b)
+
+
 def count_fixed_prefix(g, k1, k2, prefix):
     """Semigroups with g(S)=g, m(S)=g-k1, e(S)=g-k2 whose Kunz prefix is ``prefix``."""
     if not -1 <= k1 <= k2:
@@ -142,9 +149,7 @@ def count_fixed_prefix(g, k1, k2, prefix):
             OutOfValidityRangeWarning,
             stacklevel=2,
         )
-    d = k1 + 1 - p.a - 2 * p.b
-    n = g - 3 * k1 - 2
-    return comb(n, d) if 0 <= d <= n else 0
+    return _prefix_term(g, p)
 
 
 def count_multiplicity_deficit(g, k):
@@ -155,12 +160,7 @@ def count_multiplicity_deficit(g, k):
             OutOfValidityRangeWarning,
             stacklevel=2,
         )
-    total = 0
-    for p in generate_Y(k):
-        d = p.k + 1 - p.a - 2 * p.b
-        n = g - 3 * k - 2
-        total += comb(n, d) if 0 <= d <= n else 0
-    return total
+    return sum(_prefix_term(g, p) for p in generate_Y(k))
 
 
 def count_embedding_deficit(g, l):
@@ -176,67 +176,19 @@ def count_embedding_deficit(g, l):
     total = 0
     for k in range(-1, l + 1):
         for p in generate_Y(k):
-            if p.a + p.b - p.c != 2 * k + 1 - l:
-                continue
-            d = k + 1 - p.a - 2 * p.b
-            n = g - 3 * k - 2
-            total += comb(n, d) if 0 <= d <= n else 0
+            if p.a + p.b - p.c == 2 * k + 1 - l:
+                total += _prefix_term(g, p)
     return total
 
 
-class RationalPolynomial:
-    """Dense polynomial with exact rational coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        c = [Fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(c)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        return isinstance(other, RationalPolynomial) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return RationalPolynomial(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalPolynomial(tuple(x * other for x in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RationalPolynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return RationalPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        v = Fraction(0)
-        for c in reversed(self.coeffs):
-            v = v * x + c
-        return v
-
-    def __repr__(self):
-        return f"RationalPolynomial({[str(c) for c in self.coeffs]})"
+RationalPolynomial = ExactPolynomial  # the former name of the counting polynomials' class
 
 
 def _binom_poly(shift, d):
     """binom(x - shift, d) as a polynomial in x: prod_{i<d} (x - shift - i) / d!."""
-    p = RationalPolynomial((Fraction(1, factorial(d)),))
+    p = ExactPolynomial((Fraction(1, factorial(d)),))
     for i in range(d):
-        p = p * RationalPolynomial((-shift - i, 1))
+        p = p * ExactPolynomial((-shift - i, 1))
     return p
 
 
@@ -251,7 +203,7 @@ def H_polynomial(l):
         raise ValueError("l must be at least -1")
     if l > MAX_K:
         raise LTooLarge(f"l={l} exceeds the guard {MAX_K}")
-    total = RationalPolynomial()
+    total = ExactPolynomial()
     for k in range(-1, l + 1):
         for p in generate_Y(k):
             if p.a + p.b - p.c != 2 * k + 1 - l:
@@ -270,7 +222,7 @@ def f_polynomial(k):
         raise ValueError("k must be nonnegative")
     if k > MAX_K:
         raise KTooLarge(f"k={k} exceeds the guard {MAX_K}")
-    total = RationalPolynomial()
+    total = ExactPolynomial()
     for p in generate_Y(k):
         total = total + _binom_poly(3 * k + 2, k + 1 - p.a - 2 * p.b)
     return factorial(k + 1) * total

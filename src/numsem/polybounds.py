@@ -1,9 +1,10 @@
-"""Exact integer polynomial arithmetic and the coefficient-extraction bounds.
+"""Exact polynomial arithmetic and the coefficient-extraction bounds.
 
-Everything here is in the ring Z[x] with dense coefficient lists; the
+The bounds live in the ring Z[x] with dense coefficient lists; the
 "x^{-1} * p(x)" expressions appearing in the pseudo-Frobenius bounds are
 handled by checking that p has zero constant term and shifting, never by
-division with remainder.
+division with remainder.  The same class, with Fraction coefficients, holds
+the counting polynomials of ``kunzcount``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ __all__ = [
 
 
 class ExactPolynomial:
-    """Dense integer polynomial; coefficient index equals degree."""
+    """Dense polynomial with int or Fraction coefficients; coefficient index
+    equals degree."""
 
     __slots__ = ("coeffs",)
 
@@ -56,6 +58,8 @@ class ExactPolynomial:
         return self + ExactPolynomial(tuple(-y for y in other.coeffs))
 
     def __mul__(self, other):
+        if not isinstance(other, ExactPolynomial):  # an int or Fraction scalar
+            return ExactPolynomial(tuple(x * other for x in self.coeffs))
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ExactPolynomial()
@@ -65,6 +69,14 @@ class ExactPolynomial:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
         return ExactPolynomial(out)
+
+    __rmul__ = __mul__
+
+    def __call__(self, x):
+        v = 0
+        for c in reversed(self.coeffs):
+            v = v * x + c
+        return v
 
     def __pow__(self, n):
         if n < 0:
@@ -141,7 +153,8 @@ def e2_bound_value_C(g, m, k):
 
 
 def _t2_poly(n):
-    """x^{-1} ((1+x)^n - (1+x+x^2)^(n - ceil(n/2)) (1+x)^(2 ceil(n/2) - n))."""
+    """x^{-1} ((1+x)^n - (1+x+x^2)^(n - ceil(n/2)) (1+x)^(2 ceil(n/2) - n)),
+    whose two exponents are floor(n/2) and n mod 2."""
     c = (n + 1) // 2
     p = _ONE_PLUS_X**n - _QUAD ** (n - c) * _ONE_PLUS_X ** (2 * c - n)
     return p.shift_down()
@@ -158,9 +171,7 @@ def t2_small_bound(g, m):
     """Upper bound for the total of #(PF(S) cap [1, floor((m-1)/2)]) over the same family."""
     if m < 2:
         raise ValueError("m must be at least 2")
-    h = (m - 1) // 2
-    p = _ONE_PLUS_X ** (m - 1) - _QUAD**h * _ONE_PLUS_X ** ((m - 1) - 2 * h)
-    return coefficient(p.shift_down(), 2 * m - g - 4)
+    return coefficient(_t2_poly(m - 1), 2 * m - g - 4)
 
 
 def t2_bounds_C(g, m, k):
@@ -168,7 +179,5 @@ def t2_bounds_C(g, m, k):
     if m < 2:
         raise ValueError("m must be at least 2")
     big = coefficient(_t2_poly(m + k), 2 * m - g + k - 2)
-    h = (m + k - 1) // 2
-    p = _ONE_PLUS_X ** (m + k - 1) - _QUAD**h * _ONE_PLUS_X ** ((m + k - 1) - 2 * h)
-    small = coefficient(p.shift_down(), 2 * m - g + k - 3)
+    small = coefficient(_t2_poly(m + k - 1), 2 * m - g + k - 3)
     return big, small

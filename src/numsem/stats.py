@@ -71,25 +71,8 @@ class GenusAggregate:
 
     @classmethod
     def empty(cls, genus):
-        g = genus
-        sizes = _hist_sizes(g)
-        return cls(
-            genus=g,
-            count=0,
-            hist={k: (0,) * sizes[k] for k in _HIST_KEYS},
-            moments={k: 0 for k in _MOMENT_KEYS},
-            counters={
-                "e_ge_m_half": 0,
-                "e_ge_m_third": 0,
-                "symmetric": 0,
-                "f_lt_2m": 0,
-                "f_minus_2m": (0,) * K_MAX,
-                "f_minus_2m_overflow": 0,
-            },
-            membership=(0,) * (2 * g + 1),
-            pairs=decile_pairs(g),
-            pair_miss=(0,) * len(decile_pairs(g)),
-        )
+        """The aggregate over no semigroups: the identity of ``merge``."""
+        return Accumulator(genus, 0).finalize()
 
     def to_dict(self):
         """Plain-types dict with a canonical layout (ints stay ints)."""

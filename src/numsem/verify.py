@@ -5,6 +5,7 @@ the first counterexample (genus, parameters, semigroup as a sorted gap list)."""
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -14,6 +15,9 @@ from .core import invariants, minimal_generators, pseudo_frobenius
 from .tree import iter_semigroups
 
 __all__ = ["VerifyResult", "SUITES", "run_suite"]
+
+KMAX = 4  # the F = 2m + k families checked, 0 < k <= KMAX
+DMAX = 3  # the largest deficit k (of m) and l (of e) counted in closed form
 
 
 @dataclass(frozen=True)
@@ -83,23 +87,16 @@ def verify_kunz_roundtrip(gmax=12):
     return VerifyResult("kunz-roundtrip", True, f"exhaustive g<={gmax}")
 
 
-def _B_family(g):
-    """{S in S_g : F < 2m} keyed by multiplicity."""
-    fam = {}
-    for S in iter_semigroups(g):
-        if S.frobenius < 2 * S.multiplicity:
-            fam.setdefault(S.multiplicity, set()).add(S.gaps())
-    return fam
-
-
-def _C_family(g, kmax):
-    """{S in S_g : F = 2m + k, 0 < k < m} keyed by (m, k)."""
+def _families(g):
+    """The genus-g semigroups with F < 3m, in walk order, keyed by (m, k):
+    k = 0 for F < 2m, otherwise F = 2m + k with 0 < k <= KMAX (F = 2m is
+    impossible, 2m being a member)."""
     fam = {}
     for S in iter_semigroups(g):
         m, F = S.multiplicity, S.frobenius
-        k = F - 2 * m
-        if 0 < k < m and k <= kmax:
-            fam.setdefault((m, k), set()).add(S.gaps())
+        k = max(F - 2 * m, 0)
+        if k <= KMAX and F < 3 * m:
+            fam.setdefault((m, k), []).append(S)
     return fam
 
 
@@ -118,10 +115,13 @@ def _C_images(g, m, k):
     return out
 
 
-def verify_bijections(gmax_b=18, gmax_c=15, kmax=4):
+def verify_bijections(gmax=18):
     """S_{m,B} images = {F < 2m} with the binomial count; S_{m,A,B} partitions C(k,g)."""
-    for g in range(2, gmax_b + 1):
-        fam = _B_family(g)
+    gmax_c = min(gmax, 15)
+    targets = {}  # (g, k) -> the gap sets of C(k, g), checked after every B check
+    for g in range(2, gmax + 1):
+        fam = _families(g)
+        by_m = {m: {S.gaps() for S in f} for (m, k), f in fam.items() if k == 0}
         for m in range(g // 2 + 1, g + 2):
             size = 2 * m - g - 2
             imgs = {
@@ -132,80 +132,71 @@ def verify_bijections(gmax_b=18, gmax_c=15, kmax=4):
                 return VerifyResult(
                     "bijections", False, f"g={g} m={m}: |images| != count_B"
                 )
-            if imgs != fam.get(m, set()):
+            if imgs != by_m.get(m, set()):
                 return VerifyResult(
                     "bijections", False, f"g={g} m={m}: B-images != {{F<2m}}"
                 )
-        if any(m not in range(g // 2 + 1, g + 2) for m in fam):
+        if any(m not in range(g // 2 + 1, g + 2) for m in by_m):
             return VerifyResult("bijections", False, f"g={g}: m outside [g/2+1, g+1]")
+        if g <= gmax_c:
+            for (m, k), f in fam.items():
+                if k:
+                    targets.setdefault((g, k), set()).update(S.gaps() for S in f)
     for g in range(3, gmax_c + 1):
-        fam = _C_family(g, kmax)
-        for k in range(1, kmax + 1):
+        for k in range(1, KMAX + 1):
             if g < 3 * k:
                 continue
-            target = set()
-            for (m, kk), gaps in fam.items():
-                if kk == k:
-                    target |= gaps
             got = []
             for m in range(k + 1, g + 2):
                 got.extend(_C_images(g, m, k))
             if len(got) != len(set(got)):
                 return VerifyResult("bijections", False, f"g={g} k={k}: images collide")
-            if set(got) != target:
+            if set(got) != targets.get((g, k), set()):
                 return VerifyResult(
                     "bijections", False, f"g={g} k={k}: images != C(k,g)"
                 )
-    return VerifyResult("bijections", True, f"B g<={gmax_b}; C g<={gmax_c} k<={kmax}")
+    return VerifyResult("bijections", True, f"B g<={gmax}; C g<={gmax_c} k<={KMAX}")
 
 
-def _family_sums(gmax, kmax):
-    """Per-(g,m) and per-(g,m,k) sums of e2, t2, and the split PF counts."""
-    B = {}  # (g, m) -> [e2, t2, pf_big, pf_small]
-    C = {}  # (g, m, k) -> same
+_NO_SUMS = (0, 0, 0, 0)
+
+
+def _sums(gmax):
+    """(g, m, k) -> [e2, t2, pf_big, pf_small] summed over each family of
+    ``_families(g)``, g <= gmax; PF(S) is split at ceil((m+k)/2)."""
+    sums = {}
     for g in range(gmax + 1):
-        for S in iter_semigroups(g):
-            m, F = S.multiplicity, S.frobenius
-            if F >= 3 * m:
-                continue
-            r = invariants(S)
-            pf = pseudo_frobenius(S)
-            if F < 2 * m:
-                key, half, top = (g, m), (m + 1) // 2, m - 1
-                d = B
-            else:
-                k = F - 2 * m
-                if k > kmax:
-                    continue
-                key, half, top = (g, m, k), (m + k + 1) // 2, m + k - 1
-                d = C
-            big = sum(1 for p in pf if half <= p <= top)
-            small = sum(1 for p in pf if 1 <= p < half)
-            row = d.setdefault(key, [0, 0, 0, 0])
-            row[0] += r.e2
-            row[1] += r.t2
-            row[2] += big
-            row[3] += small
-    return B, C
+        for (m, k), fam in _families(g).items():
+            half, top = (m + k + 1) // 2, m + k - 1
+            row = sums[g, m, k] = [0, 0, 0, 0]
+            for S in fam:
+                r = invariants(S)
+                pf = pseudo_frobenius(S)
+                row[0] += r.e2
+                row[1] += r.t2
+                row[2] += sum(1 for p in pf if half <= p <= top)
+                row[3] += sum(1 for p in pf if 1 <= p < half)
+    return sums
 
 
-def verify_e2_bounds(gmax=20, gmax_c=18, kmax=4):
+def verify_e2_bounds(gmax=20):
     """Per-(g,m) coefficient bounds on total e2, plus the Fibonacci forms."""
-    B, C = _family_sums(max(gmax, gmax_c), kmax)
+    gmax_c = min(gmax, 18)
+    sums = _sums(gmax)
     for g in range(2, gmax + 1):
         tot = 0
         for m in range(2, g + 2):
-            s = B.get((g, m), [0, 0, 0, 0])[0]
+            s = sums.get((g, m, 0), _NO_SUMS)[0]
             if s > polybounds.e2_bound_value(g, m):
                 return VerifyResult("e2-bounds", False, f"g={g} m={m}: per-m bound")
             tot += s
         if tot > 2 * polybounds.fibonacci(g + 1):
             return VerifyResult("e2-bounds", False, f"g={g}: sum > 2F(g+1)")
     for g in range(3, gmax_c + 1):
-        for k in range(1, kmax + 1):
+        for k in range(1, KMAX + 1):
             tot = 0
             for m in range(k + 1, g + 2):
-                s = C.get((g, m, k), [0, 0, 0, 0])[0]
+                s = sums.get((g, m, k), _NO_SUMS)[0]
                 if s > polybounds.e2_bound_value_C(g, m, k):
                     return VerifyResult(
                         "e2-bounds", False, f"g={g} m={m} k={k}: per-m bound"
@@ -213,15 +204,16 @@ def verify_e2_bounds(gmax=20, gmax_c=18, kmax=4):
                 tot += s
             if tot > 2 * polybounds.fibonacci(g + k):
                 return VerifyResult("e2-bounds", False, f"g={g} k={k}: sum > 2F(g+k)")
-    return VerifyResult("e2-bounds", True, f"B g<={gmax}; C g<={gmax_c} k<={kmax}")
+    return VerifyResult("e2-bounds", True, f"B g<={gmax}; C g<={gmax_c} k<={KMAX}")
 
 
-def verify_t2_equality(gmin=4, gmax=16):
+def verify_t2_equality(gmax=16):
     """The upper pseudo-Frobenius count over B(g,m) EQUALS its coefficient formula."""
-    B, _ = _family_sums(gmax, 0)
+    gmin = 4
+    sums = _sums(gmax)
     for g in range(gmin, gmax + 1):
         for m in range(2, g + 2):
-            lhs = B.get((g, m), [0, 0, 0, 0])[2]
+            lhs = sums.get((g, m, 0), _NO_SUMS)[2]
             rhs = polybounds.t2_big_value(g, m)
             if lhs != rhs:
                 return VerifyResult(
@@ -230,23 +222,24 @@ def verify_t2_equality(gmin=4, gmax=16):
     return VerifyResult("t2-equality", True, f"all (g,m), {gmin}<=g<={gmax}")
 
 
-def verify_t2_bounds(gmax=20, gmax_c=18, kmax=4):
+def verify_t2_bounds(gmax=20):
     """Small-part bounds and the Fibonacci totals for t2 over both families."""
-    B, C = _family_sums(max(gmax, gmax_c), kmax)
+    gmax_c = min(gmax, 18)
+    sums = _sums(gmax)
     for g in range(2, gmax + 1):
         t2tot = 0
         for m in range(2, g + 2):
-            row = B.get((g, m), [0, 0, 0, 0])
+            row = sums.get((g, m, 0), _NO_SUMS)
             if row[3] > polybounds.t2_small_bound(g, m):
                 return VerifyResult("t2-bounds", False, f"g={g} m={m}: small bound")
             t2tot += row[1]
         if t2tot > polybounds.fibonacci(g + 4):
             return VerifyResult("t2-bounds", False, f"g={g}: sum t2 > F(g+4)")
     for g in range(3, gmax_c + 1):
-        for k in range(1, kmax + 1):
+        for k in range(1, KMAX + 1):
             t2tot = 0
             for m in range(k + 1, g + 2):
-                row = C.get((g, m, k), [0, 0, 0, 0])
+                row = sums.get((g, m, k), _NO_SUMS)
                 big, small = polybounds.t2_bounds_C(g, m, k)
                 if row[2] > big:
                     return VerifyResult(
@@ -259,46 +252,43 @@ def verify_t2_bounds(gmax=20, gmax_c=18, kmax=4):
                 t2tot += row[1]
             if t2tot > polybounds.fibonacci(g + k + 3):
                 return VerifyResult("t2-bounds", False, f"g={g} k={k}: sum > F(g+k+3)")
-    return VerifyResult("t2-bounds", True, f"B g<={gmax}; C g<={gmax_c} k<={kmax}")
+    return VerifyResult("t2-bounds", True, f"B g<={gmax}; C g<={gmax_c} k<={KMAX}")
 
 
-def verify_counting_m(gmax=22, kmax=3):
+def _deficits(gmax, invariant):
+    """For each g <= gmax, a Counter of g - invariant(S) over the genus-g S."""
+    return [Counter(g - invariant(S) for S in iter_semigroups(g)) for g in range(gmax + 1)]
+
+
+def verify_counting_m(gmax=22):
     """Closed-form multiplicity-deficit counts against enumeration."""
-    by = {g: {} for g in range(gmax + 1)}
-    for g in range(gmax + 1):
-        for S in iter_semigroups(g):
-            d = g - S.multiplicity
-            by[g][d] = by[g].get(d, 0) + 1
-    for k in range(-1, kmax + 1):
+    by = _deficits(gmax, lambda S: S.multiplicity)
+    for k in range(-1, DMAX + 1):
         for g in range(max(0, 4 * k + 3), gmax + 1):
             v = kunzcount.count_multiplicity_deficit(g, k)
-            if v != by[g].get(k, 0):
+            if v != by[g][k]:
                 return VerifyResult(
-                    "counting-m", False, f"g={g} k={k}: {v} != {by[g].get(k, 0)}"
+                    "counting-m", False, f"g={g} k={k}: {v} != {by[g][k]}"
                 )
-    return VerifyResult("counting-m", True, f"k<={kmax}, g<={gmax}")
+    return VerifyResult("counting-m", True, f"k<={DMAX}, g<={gmax}")
 
 
-def verify_counting_e(gmax=22, lmax=3):
+def verify_counting_e(gmax=22):
     """Closed-form embedding-deficit counts against enumeration (both thresholds)."""
-    by = {g: {} for g in range(gmax + 1)}
-    for g in range(gmax + 1):
-        for S in iter_semigroups(g):
-            d = g - invariants(S).embedding_dim
-            by[g][d] = by[g].get(d, 0) + 1
-    for l in range(-1, lmax + 1):
+    by = _deficits(gmax, lambda S: len(minimal_generators(S)))
+    for l in range(-1, DMAX + 1):
         gmin = max(0, 4 * l + 3, -(-(9 * l + 7) // 2))
         for g in range(gmin, gmax + 1):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 v = kunzcount.count_embedding_deficit(g, l)
-            if v != by[g].get(l, 0):
+            if v != by[g][l]:
                 return VerifyResult(
-                    "counting-e", False, f"g={g} l={l}: {v} != {by[g].get(l, 0)}"
+                    "counting-e", False, f"g={g} l={l}: {v} != {by[g][l]}"
                 )
             if kunzcount.H_polynomial(l)(g) != v:
                 return VerifyResult("counting-e", False, f"g={g} l={l}: H_l mismatch")
-    return VerifyResult("counting-e", True, f"l<={lmax}, g<={gmax}")
+    return VerifyResult("counting-e", True, f"l<={DMAX}, g<={gmax}")
 
 
 def verify_membership(agg, mid_tol=0.15, low_frac=0.55, low_tol=0.05,
@@ -334,14 +324,7 @@ SUITES = {
 
 
 def run_suite(name, gmax=None):
-    """Run one suite by name with an optional gmax override (membership excluded)."""
+    """Run one suite by name, at its default gmax unless one is given
+    (membership excluded)."""
     fn = SUITES[name]
-    if gmax is None:
-        return fn()
-    if name == "bijections":
-        return fn(gmax_b=gmax, gmax_c=min(gmax, 15))
-    if name in ("e2-bounds", "t2-bounds"):
-        return fn(gmax=gmax, gmax_c=min(gmax, 18))
-    if name == "t2-equality":
-        return fn(gmax=gmax)
-    return fn(gmax)
+    return fn() if gmax is None else fn(gmax)

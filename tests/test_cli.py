@@ -20,6 +20,21 @@ def test_usage_error_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "core-invariants", "--gmax", "-1"],
+        ["enumerate", "--genus", "-1"],
+        ["stats", "--genus", "-1"],
+    ],
+)
+def test_negative_genus_is_usage_error(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be nonnegative" in captured.err
+
+
 def test_verify_suite_ok(capsys):
     assert run(["verify", "--suite", "t2-equality", "--gmax", "10"]) == 0
     out = capsys.readouterr().out

@@ -161,3 +161,10 @@ def test_rational_polynomial_eval():
     p = RationalPolynomial((1, 2, 1))  # (1+x)^2
     assert p(3) == 16
     assert (2 * p).coeffs == (2, 4, 2)
+
+
+def test_one_polynomial_class():
+    from numsem.polybounds import ExactPolynomial
+
+    assert RationalPolynomial is ExactPolynomial
+    assert type(H_polynomial(3)) is ExactPolynomial

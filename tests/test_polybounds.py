@@ -95,3 +95,22 @@ def test_geometric_sum_identity():
             ONE_PLUS_X ** (2 * (h - 1))
         )
         assert lhs == rhs
+
+
+def _inline_small(n):
+    # The small-part polynomial as it was written out before the bounds
+    # called _t2_poly: x^{-1} ((1+x)^n - (1+x+x^2)^h (1+x)^(n-2h)), h = floor(n/2).
+    h = n // 2
+    q = ExactPolynomial((1, 1, 1))
+    return (ONE_PLUS_X**n - q**h * ONE_PLUS_X ** (n - 2 * h)).shift_down()
+
+
+def test_small_bounds_match_inline_expression():
+    for m in range(2, 31):
+        ref = _inline_small(m - 1)
+        for g in range(2 * m + 1):
+            assert t2_small_bound(g, m) == coefficient(ref, 2 * m - g - 4)
+        for k in range(7):
+            ref = _inline_small(m + k - 1)
+            for g in range(2 * m + k + 1):
+                assert t2_bounds_C(g, m, k)[1] == coefficient(ref, 2 * m - g + k - 3)
