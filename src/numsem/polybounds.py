@@ -100,10 +100,9 @@ class ExactPolynomial:
         return f"ExactPolynomial({list(self.coeffs)})"
 
 
-_X = ExactPolynomial((0, 1))
-_ONE_PLUS_X = ExactPolynomial((1, 1))
-_X_PLUS_2 = ExactPolynomial((2, 1))
-_QUAD = ExactPolynomial((1, 1, 1))  # 1 + x + x^2
+def _binomial_row(n):
+    """(1+x)^n."""
+    return ExactPolynomial(comb(n, i) for i in range(n + 1))
 
 
 def binomial(n, k):
@@ -133,9 +132,11 @@ def coefficient(p, d):
 
 
 def _e2_poly(n):
-    """(1+x)^n - x^floor(n/2) (x+2)^floor(n/2) (1+x)^(n - 2 floor(n/2))."""
+    """(1+x)^n - x^floor(n/2) (x+2)^floor(n/2) (1+x)^(n - 2 floor(n/2)),
+    whose powers are built as binomial rows."""
     h = n // 2
-    return _ONE_PLUS_X**n - _X**h * _X_PLUS_2**h * _ONE_PLUS_X ** (n - 2 * h)
+    q = ExactPolynomial([0] * h + [comb(h, j) << (h - j) for j in range(h + 1)])
+    return _binomial_row(n) - q * _binomial_row(n % 2)
 
 
 def e2_bound_value(g, m):
@@ -155,9 +156,10 @@ def e2_bound_value_C(g, m, k):
 def _t2_poly(n):
     """x^{-1} ((1+x)^n - (1+x+x^2)^(n - ceil(n/2)) (1+x)^(2 ceil(n/2) - n)),
     whose two exponents are floor(n/2) and n mod 2."""
-    c = (n + 1) // 2
-    p = _ONE_PLUS_X**n - _QUAD ** (n - c) * _ONE_PLUS_X ** (2 * c - n)
-    return p.shift_down()
+    row = [1]
+    for _ in range(n // 2):  # times 1 + x + x^2
+        row = [a + b + c for a, b, c in zip(row + [0, 0], [0] + row + [0], [0, 0] + row)]
+    return (_binomial_row(n) - ExactPolynomial(row) * _binomial_row(n % 2)).shift_down()
 
 
 def t2_big_value(g, m):

@@ -105,6 +105,18 @@ def _walk(roots, depth, width, levels):
         stack.extend(reversed(kids))
 
 
+def _series(gmax):
+    """Yield every state of depth <= gmax, in width ``_width(gmax)``, depth
+    first in pre-order; restricted to one depth, this is the order of ``_walk``."""
+    top = _width(gmax) - 1
+    stack = [_root(top + 1)]
+    while stack:
+        state = stack.pop()
+        yield state
+        if state[8] < gmax:
+            stack.extend(reversed(_children(state, top)))
+
+
 def _count_job(args):
     """Nodes per depth below one task's roots, which share their depth."""
     roots, target, width = args

@@ -5,14 +5,14 @@ the first counterexample (genus, parameters, semigroup as a sorted gap list)."""
 from __future__ import annotations
 
 import warnings
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 
 from . import bijections as bj
 from . import kunz, kunzcount, polybounds, stats
-from .core import invariants, minimal_generators, pseudo_frobenius
-from .tree import iter_semigroups
+from .core import SemigroupSet, _windows, invariants, minimal_generators, pseudo_frobenius
+from .tree import _series, _width
 
 __all__ = ["VerifyResult", "SUITES", "run_suite"]
 
@@ -30,74 +30,92 @@ class VerifyResult:
         return f"{self.suite}: {'ok' if self.ok else 'FAIL'} ({self.detail})"
 
 
-def _fail(suite, g, msg, S=None):
-    loc = f"g={g}" + (f" S=gaps{list(S.gaps())}" if S is not None else "")
-    return VerifyResult(suite, False, f"{loc}: {msg}")
+def _fail(suite, g, msg, S):
+    return VerifyResult(suite, False, f"g={g} S=gaps{list(S.gaps())}: {msg}")
+
+
+def _first_failure(gmax, check):
+    """(g, message, S) of check(S, state)'s first failure at the smallest failing
+    genus of one series walk, or None; and the number of states at each depth."""
+    width = _width(gmax)
+    seen = [0] * (gmax + 1)
+    found = None
+    for state in _series(gmax):
+        g = state[8]
+        seen[g] += 1
+        if found is None or g < found[0]:
+            S = SemigroupSet(state[0], width)
+            msg = check(S, state)
+            if msg:
+                found = (g, msg, S)
+    return found, seen
+
+
+def _core_failure(S, state):
+    """The first identity or range S breaks, then the kernel state against it."""
+    mask, g = state[0], state[8]
+    r = invariants(S)
+    m, F = S.multiplicity, S.frobenius
+    gens = sum(1 << x for x in minimal_generators(S))
+    pf = sum(1 << x for x in pseudo_frobenius(S))
+    if r.embedding_dim != r.e1 + r.e2:
+        return "e != e1+e2"
+    if r.type_t != r.t1 + r.t2:
+        return "t != t1+t2"
+    if r.weight != r.gap_sum - g * (g + 1) // 2:
+        return "w != alpha - g(g+1)/2"
+    if m > g + 1:
+        return f"m={m} > g+1"
+    if g >= 1 and F > 2 * g - 1:
+        return f"F={F} > 2g-1"
+    if (mask & ~gens) >> m & ((1 << m) - 1):
+        return "[m,2m-1] member not a generator"
+    if (~mask & ~pf & ((1 << (F + 1)) - 1)) << m >> (F + 1):
+        return "late gap not pseudo-Frobenius"
+    eff = gens >> (F + 1) << (F + 1)
+    if state[2:] != (m, F, eff, gens.bit_count(), pf, r.gap_sum, S.genus):
+        return "kernel state != from-scratch"
 
 
 def verify_core_invariants(gmax=20):
-    """Per-semigroup identities and ranges for every S with genus <= gmax."""
-    n = 0
-    for g in range(gmax + 1):
-        for S in iter_semigroups(g):
-            n += 1
-            r = invariants(S)
-            m, F = S.multiplicity, S.frobenius
-            gens = minimal_generators(S)
-            pf = pseudo_frobenius(S)
-            if r.embedding_dim != r.e1 + r.e2:
-                return _fail("core-invariants", g, "e != e1+e2", S)
-            if r.type_t != r.t1 + r.t2:
-                return _fail("core-invariants", g, "t != t1+t2", S)
-            if r.weight != r.gap_sum - g * (g + 1) // 2:
-                return _fail("core-invariants", g, "w != alpha - g(g+1)/2", S)
-            if m > g + 1:
-                return _fail("core-invariants", g, f"m={m} > g+1", S)
-            if g >= 1 and F > 2 * g - 1:
-                return _fail("core-invariants", g, f"F={F} > 2g-1", S)
-            early = [x for x in range(m, 2 * m) if x in S]
-            if any(x not in gens for x in early):
-                return _fail("core-invariants", g, "[m,2m-1] member not a generator", S)
-            late_gaps = [x for x in range(max(F - m + 1, 1), F + 1) if x not in S]
-            if any(x not in pf for x in late_gaps):
-                return _fail("core-invariants", g, "late gap not pseudo-Frobenius", S)
-    return VerifyResult("core-invariants", True, f"{n} semigroups, g<={gmax}")
+    """Identities, ranges and the walk's kernel state of every S with genus <= gmax."""
+    found, seen = _first_failure(gmax, _core_failure)
+    if found:
+        return _fail("core-invariants", *found)
+    return VerifyResult("core-invariants", True, f"{sum(seen)} semigroups, g<={gmax}")
+
+
+def _kunz_failure(S, state):
+    kv = kunz.kunz_of(S)
+    if not kunz.is_valid_kunz(kv.multiplicity, kv.coords):
+        return f"invalid vector {kv}"
+    if kv.genus != state[8]:
+        return f"coordinate sum {kv.genus}"
+    if kunz.semigroup_of_kunz(kv) != S:
+        return "round trip mismatch"
+    if set(kunz.generators_from_kunz(kv)) != set(minimal_generators(S)):
+        return "generator characterization"
 
 
 def verify_kunz_roundtrip(gmax=12):
     """Bijection with valid Kunz vectors: round trip, validity, coordinate sum."""
+    found, seen = _first_failure(gmax, _kunz_failure)
     for g in range(gmax + 1):
-        seen = 0
-        for S in iter_semigroups(g):
-            kv = kunz.kunz_of(S)
-            if not kunz.is_valid_kunz(kv.multiplicity, kv.coords):
-                return _fail("kunz-roundtrip", g, f"invalid vector {kv}", S)
-            if kv.genus != g:
-                return _fail("kunz-roundtrip", g, f"coordinate sum {kv.genus}", S)
-            if kunz.semigroup_of_kunz(kv) != S:
-                return _fail("kunz-roundtrip", g, "round trip mismatch", S)
-            if set(kunz.generators_from_kunz(kv)) != set(minimal_generators(S)):
-                return _fail("kunz-roundtrip", g, "generator characterization", S)
-            seen += 1
+        if found and found[0] == g:
+            return _fail("kunz-roundtrip", *found)
         total = kunz.count_by_kunz(g)
-        if seen != total:
+        if seen[g] != total:
             return VerifyResult(
-                "kunz-roundtrip", False, f"g={g}: {seen} semigroups vs {total} vectors"
+                "kunz-roundtrip", False, f"g={g}: {seen[g]} semigroups vs {total} vectors"
             )
     return VerifyResult("kunz-roundtrip", True, f"exhaustive g<={gmax}")
 
 
-def _families(g):
-    """The genus-g semigroups with F < 3m, in walk order, keyed by (m, k):
-    k = 0 for F < 2m, otherwise F = 2m + k with 0 < k <= KMAX (F = 2m is
-    impossible, 2m being a member)."""
-    fam = {}
-    for S in iter_semigroups(g):
-        m, F = S.multiplicity, S.frobenius
-        k = max(F - 2 * m, 0)
-        if k <= KMAX and F < 3 * m:
-            fam.setdefault((m, k), []).append(S)
-    return fam
+def _family(m, F):
+    """k = 0 for F < 2m, k for F = 2m + k with 0 < k <= KMAX and F < 3m (F = 2m
+    is impossible, 2m being a member); None outside these families."""
+    k = max(F - 2 * m, 0)
+    return k if k <= KMAX and F < 3 * m else None
 
 
 def _C_images(g, m, k):
@@ -118,10 +136,16 @@ def _C_images(g, m, k):
 def verify_bijections(gmax=18):
     """S_{m,B} images = {F < 2m} with the binomial count; S_{m,A,B} partitions C(k,g)."""
     gmax_c = min(gmax, 15)
+    width = _width(gmax)
+    by_m = {}  # (g, m) -> the gap sets with F < 2m
     targets = {}  # (g, k) -> the gap sets of C(k, g), checked after every B check
+    for mask, _, m, F, *_, g in _series(gmax):
+        k = _family(m, F)
+        if k == 0:
+            by_m.setdefault((g, m), set()).add(SemigroupSet(mask, width).gaps())
+        elif k and g <= gmax_c:
+            targets.setdefault((g, k), set()).add(SemigroupSet(mask, width).gaps())
     for g in range(2, gmax + 1):
-        fam = _families(g)
-        by_m = {m: {S.gaps() for S in f} for (m, k), f in fam.items() if k == 0}
         for m in range(g // 2 + 1, g + 2):
             size = 2 * m - g - 2
             imgs = {
@@ -132,16 +156,12 @@ def verify_bijections(gmax=18):
                 return VerifyResult(
                     "bijections", False, f"g={g} m={m}: |images| != count_B"
                 )
-            if imgs != by_m.get(m, set()):
+            if imgs != by_m.get((g, m), set()):
                 return VerifyResult(
                     "bijections", False, f"g={g} m={m}: B-images != {{F<2m}}"
                 )
-        if any(m not in range(g // 2 + 1, g + 2) for m in by_m):
+        if any(m not in range(g // 2 + 1, g + 2) for h, m in by_m if h == g):
             return VerifyResult("bijections", False, f"g={g}: m outside [g/2+1, g+1]")
-        if g <= gmax_c:
-            for (m, k), f in fam.items():
-                if k:
-                    targets.setdefault((g, k), set()).update(S.gaps() for S in f)
     for g in range(3, gmax_c + 1):
         for k in range(1, KMAX + 1):
             if g < 3 * k:
@@ -158,24 +178,20 @@ def verify_bijections(gmax=18):
     return VerifyResult("bijections", True, f"B g<={gmax}; C g<={gmax_c} k<={KMAX}")
 
 
-_NO_SUMS = (0, 0, 0, 0)
-
-
 def _sums(gmax):
     """(g, m, k) -> [e2, t2, pf_big, pf_small] summed over each family of
-    ``_families(g)``, g <= gmax; PF(S) is split at ceil((m+k)/2)."""
-    sums = {}
-    for g in range(gmax + 1):
-        for (m, k), fam in _families(g).items():
-            half, top = (m + k + 1) // 2, m + k - 1
-            row = sums[g, m, k] = [0, 0, 0, 0]
-            for S in fam:
-                r = invariants(S)
-                pf = pseudo_frobenius(S)
-                row[0] += r.e2
-                row[1] += r.t2
-                row[2] += sum(1 for p in pf if half <= p <= top)
-                row[3] += sum(1 for p in pf if 1 <= p < half)
+    ``_family``, g <= gmax; PF(S) is split at ceil((m+k)/2)."""
+    sums = defaultdict(lambda: [0, 0, 0, 0])
+    for mask, _, m, F, _, e, pf, _, g in _series(gmax):
+        k = _family(m, F)
+        if k is not None:
+            e1, t1 = _windows(mask, m, F)
+            small = pf & ((1 << (m + k + 1) // 2) - 1)
+            row = sums[g, m, k]
+            row[0] += e - e1
+            row[1] += pf.bit_count() - t1
+            row[2] += ((pf & ((1 << (m + k)) - 1)) ^ small).bit_count()
+            row[3] += small.bit_count()
     return sums
 
 
@@ -186,7 +202,7 @@ def verify_e2_bounds(gmax=20):
     for g in range(2, gmax + 1):
         tot = 0
         for m in range(2, g + 2):
-            s = sums.get((g, m, 0), _NO_SUMS)[0]
+            s = sums[g, m, 0][0]
             if s > polybounds.e2_bound_value(g, m):
                 return VerifyResult("e2-bounds", False, f"g={g} m={m}: per-m bound")
             tot += s
@@ -196,7 +212,7 @@ def verify_e2_bounds(gmax=20):
         for k in range(1, KMAX + 1):
             tot = 0
             for m in range(k + 1, g + 2):
-                s = sums.get((g, m, k), _NO_SUMS)[0]
+                s = sums[g, m, k][0]
                 if s > polybounds.e2_bound_value_C(g, m, k):
                     return VerifyResult(
                         "e2-bounds", False, f"g={g} m={m} k={k}: per-m bound"
@@ -213,7 +229,7 @@ def verify_t2_equality(gmax=16):
     sums = _sums(gmax)
     for g in range(gmin, gmax + 1):
         for m in range(2, g + 2):
-            lhs = sums.get((g, m, 0), _NO_SUMS)[2]
+            lhs = sums[g, m, 0][2]
             rhs = polybounds.t2_big_value(g, m)
             if lhs != rhs:
                 return VerifyResult(
@@ -229,7 +245,7 @@ def verify_t2_bounds(gmax=20):
     for g in range(2, gmax + 1):
         t2tot = 0
         for m in range(2, g + 2):
-            row = sums.get((g, m, 0), _NO_SUMS)
+            row = sums[g, m, 0]
             if row[3] > polybounds.t2_small_bound(g, m):
                 return VerifyResult("t2-bounds", False, f"g={g} m={m}: small bound")
             t2tot += row[1]
@@ -239,7 +255,7 @@ def verify_t2_bounds(gmax=20):
         for k in range(1, KMAX + 1):
             t2tot = 0
             for m in range(k + 1, g + 2):
-                row = sums.get((g, m, k), _NO_SUMS)
+                row = sums[g, m, k]
                 big, small = polybounds.t2_bounds_C(g, m, k)
                 if row[2] > big:
                     return VerifyResult(
@@ -255,36 +271,36 @@ def verify_t2_bounds(gmax=20):
     return VerifyResult("t2-bounds", True, f"B g<={gmax}; C g<={gmax_c} k<={KMAX}")
 
 
-def _deficits(gmax, invariant):
-    """For each g <= gmax, a Counter of g - invariant(S) over the genus-g S."""
-    return [Counter(g - invariant(S) for S in iter_semigroups(g)) for g in range(gmax + 1)]
+def _deficits(gmax, i):
+    """Counter of (g, g - state[i]) over the states of depth g <= gmax: i = 2 for m, 5 for e."""
+    return Counter((s[8], s[8] - s[i]) for s in _series(gmax))
 
 
 def verify_counting_m(gmax=22):
     """Closed-form multiplicity-deficit counts against enumeration."""
-    by = _deficits(gmax, lambda S: S.multiplicity)
+    by = _deficits(gmax, 2)
     for k in range(-1, DMAX + 1):
         for g in range(max(0, 4 * k + 3), gmax + 1):
             v = kunzcount.count_multiplicity_deficit(g, k)
-            if v != by[g][k]:
+            if v != by[g, k]:
                 return VerifyResult(
-                    "counting-m", False, f"g={g} k={k}: {v} != {by[g][k]}"
+                    "counting-m", False, f"g={g} k={k}: {v} != {by[g, k]}"
                 )
     return VerifyResult("counting-m", True, f"k<={DMAX}, g<={gmax}")
 
 
 def verify_counting_e(gmax=22):
     """Closed-form embedding-deficit counts against enumeration (both thresholds)."""
-    by = _deficits(gmax, lambda S: len(minimal_generators(S)))
+    by = _deficits(gmax, 5)
     for l in range(-1, DMAX + 1):
         gmin = max(0, 4 * l + 3, -(-(9 * l + 7) // 2))
         for g in range(gmin, gmax + 1):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 v = kunzcount.count_embedding_deficit(g, l)
-            if v != by[g][l]:
+            if v != by[g, l]:
                 return VerifyResult(
-                    "counting-e", False, f"g={g} l={l}: {v} != {by[g][l]}"
+                    "counting-e", False, f"g={g} l={l}: {v} != {by[g, l]}"
                 )
             if kunzcount.H_polynomial(l)(g) != v:
                 return VerifyResult("counting-e", False, f"g={g} l={l}: H_l mismatch")

@@ -4,6 +4,8 @@ import pytest
 
 from numsem.polybounds import (
     ExactPolynomial,
+    _e2_poly,
+    _t2_poly,
     binomial,
     coefficient,
     e2_bound_value,
@@ -114,3 +116,12 @@ def test_small_bounds_match_inline_expression():
             ref = _inline_small(m + k - 1)
             for g in range(2 * m + k + 1):
                 assert t2_bounds_C(g, m, k)[1] == coefficient(ref, 2 * m - g + k - 3)
+
+
+@pytest.mark.parametrize("n", range(41))
+def test_bound_polynomials_match_power_expressions(n):
+    h, c = n // 2, (n + 1) // 2
+    quad = ExactPolynomial((1, 1, 1))
+    assert _e2_poly(n) == ONE_PLUS_X**n - X**h * X_PLUS_2**h * ONE_PLUS_X ** (n - 2 * h)
+    t2 = ONE_PLUS_X**n - quad ** (n - c) * ONE_PLUS_X ** (2 * c - n)
+    assert _t2_poly(n) == t2.shift_down()

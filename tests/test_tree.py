@@ -13,6 +13,8 @@ from numsem.tree import (
     EnumerationPlan,
     _children,
     _root,
+    _series,
+    _walk,
     _width,
     children,
     count_genus,
@@ -100,6 +102,14 @@ def test_kernel_state_matches_from_scratch(depth, data):
         if not kids:
             break
         state = kids[data.draw(st.integers(0, len(kids) - 1))]
+
+
+def test_series_restricted_to_a_depth_is_the_walk_order():
+    width = _width(12)
+    series = list(_series(12))
+    for g in range(13):
+        walk = list(_walk([_root(width)], g, width, [0] * (g + 1)))
+        assert [s for s in series if s[8] == g] == walk
 
 
 def test_iter_semigroups_is_lazy():

@@ -7,7 +7,7 @@ import inspect
 
 import pytest
 
-from numsem import bijections, kunz, kunzcount, polybounds, verify
+from numsem import bijections, kunz, kunzcount, polybounds, tree, verify
 from numsem.verify import SUITES, run_suite
 
 
@@ -92,17 +92,42 @@ INJECTED = [
         lambda g, l: (g, l) == (9, 1), _plus_one,
         "counting-e: FAIL (g=9 l=1: 10 != 9)",
     ),
+    (
+        # The walk meets the genus-9 failures before <2, 15>, the last
+        # semigroup of genus 7; the smallest failing genus is reported.
+        "core-invariants", verify, "pseudo_frobenius",
+        lambda S: S.genus == 9 or (S.genus == 7 and S.multiplicity == 2),
+        lambda pf, S: pf[:-1],
+        "core-invariants: FAIL (g=7 S=gaps[1, 3, 5, 7, 9, 11, 13]: "
+        "late gap not pseudo-Frobenius)",
+    ),
 ]
+
+INJECTED_IDS = [f"{s}-{n}" for s, _, n, *_ in INJECTED]
+# The last row patches what the first does; its own id keeps pytest from
+# renumbering both.
+INJECTED_IDS[-1] += "-smallest-genus-first"
 
 
 @pytest.mark.parametrize(
-    "suite, module, name, hit, change, expected",
-    INJECTED,
-    ids=[f"{s}-{n}" for s, _, n, *_ in INJECTED],
+    "suite, module, name, hit, change, expected", INJECTED, ids=INJECTED_IDS
 )
 def test_injected_failure_is_reported(monkeypatch, suite, module, name, hit, change, expected):
     _off_at(monkeypatch, module, name, hit, change)
     assert str(run_suite(suite, 10)) == expected
+
+
+def test_core_invariants_checks_the_kernel_state(monkeypatch):
+    # A PF update that keeps all of the parent's PF: <2, 5> gets {1, 3}.
+    real = tree._children
+
+    def wrong(state, top):
+        return [kid[:6] + (state[6] | 1 << kid[3],) + kid[7:] for kid in real(state, top)]
+
+    monkeypatch.setattr(tree, "_children", wrong)
+    assert str(run_suite("core-invariants", 10)) == (
+        "core-invariants: FAIL (g=2 S=gaps[1, 3]: kernel state != from-scratch)"
+    )
 
 
 OK_AT_8 = {
