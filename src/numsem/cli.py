@@ -19,7 +19,7 @@ import time
 import warnings
 from fractions import Fraction
 
-from . import __version__, stats
+from . import __version__, stats, tree
 from .bijections import zhai_partial_sum
 from .errors import CorruptCache, NumsemError
 from .kunzcount import count_embedding_deficit, count_multiplicity_deficit
@@ -76,6 +76,9 @@ def _cache_path(cache_dir, genus):
 
 
 def cache_put(cache_dir, agg, wall_time=0.0):
+    """Write ``agg`` to its genus's cache file, recording ``wall_time``: the
+    seconds its enumeration took, or, for the genera ``figures`` computes
+    together, the whole series walk's."""
     os.makedirs(cache_dir, exist_ok=True)
     payload = _to_strings(agg.to_dict())
     payload["version"] = str(CACHE_VERSION)
@@ -134,19 +137,25 @@ def cache_get(cache_dir, genus):
     return GenusAggregate.from_dict(_from_strings(body))
 
 
+def _cached(genus, cache_dir):
+    """The cached aggregate of ``genus``, or None on a miss, without a cache
+    directory, or when the file was corrupt (quarantined, with a warning)."""
+    if not cache_dir:
+        return None
+    try:
+        return cache_get(cache_dir, genus)
+    except CorruptCache as exc:
+        print(f"warning: {exc}; recomputing", file=sys.stderr)
+        return None
+
+
 def _get_aggregate(genus, threads, cache_dir):
-    if cache_dir:
-        try:
-            agg = cache_get(cache_dir, genus)
-        except CorruptCache as exc:
-            print(f"warning: {exc}; recomputing", file=sys.stderr)
-            agg = None
-        if agg is not None:
-            return agg
-    t0 = time.time()
-    agg = enumerate_genus(genus, threads=threads)
-    if cache_dir:
-        cache_put(cache_dir, agg, time.time() - t0)
+    agg = _cached(genus, cache_dir)
+    if agg is None:
+        t0 = time.time()
+        agg = enumerate_genus(genus, threads=threads)
+        if cache_dir:
+            cache_put(cache_dir, agg, time.time() - t0)
     return agg
 
 
@@ -180,13 +189,20 @@ def _cmd_stats(args):
 
 
 def _cmd_figures(args):
-    gmax = args.gmax
-    aggs = {
-        g: _get_aggregate(g, args.threads, args.cache_dir)
-        for g in range(1, gmax + 1)
-    }
+    genera = range(1, args.gmax + 1)
+    aggs = {g: _cached(g, args.cache_dir) for g in genera}
+    missing = [g for g in genera if aggs[g] is None]
+    if missing:
+        # One walk and one pool for every missing genus.
+        t0 = time.time()
+        series = tree.enumerate_series(max(missing), threads=args.threads)
+        elapsed = time.time() - t0
+        for g in missing:
+            aggs[g] = series[g]
+            if args.cache_dir:
+                cache_put(args.cache_dir, series[g], elapsed)
     eps = [float(x) for x in args.eps.split(",")] if args.eps else None
-    rows = stats.figure_data(args.figure, aggs, range(1, gmax + 1), eps)
+    rows = stats.figure_data(args.figure, aggs, genera, eps)
     lines = []
     if args.figure in (1, 2, 3):
         if args.figure == 3:

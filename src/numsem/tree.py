@@ -16,12 +16,14 @@ nodes of the last level are the effective generators of the level above.
 Parallel runs walk serially to ``split_depth`` and map the frontier subtrees
 onto worker processes (see ``_tasks``); the driver folds the tasks'
 Accumulators with ``merge_in`` and finalizes once, so the GenusAggregate is
-byte-identical whatever the worker count.
+byte-identical whatever the worker count.  ``enumerate_series`` does the same
+for every genus up to gmax at once, from one pre-order walk (``_series``)
+with one Accumulator per depth.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 from .core import SemigroupSet, invariants
@@ -39,6 +41,7 @@ __all__ = [
     "count_genus_series",
     "iter_semigroups",
     "enumerate_genus",
+    "enumerate_series",
 ]
 
 
@@ -105,11 +108,14 @@ def _walk(roots, depth, width, levels):
         stack.extend(reversed(kids))
 
 
-def _series(gmax):
-    """Yield every state of depth <= gmax, in width ``_width(gmax)``, depth
-    first in pre-order; restricted to one depth, this is the order of ``_walk``."""
-    top = _width(gmax) - 1
-    stack = [_root(top + 1)]
+def _series(gmax, roots=None, width=None):
+    """Yield every state of depth <= gmax below ``roots`` (of one depth; by
+    default the root, in width ``_width(gmax)``), roots included, depth first
+    in pre-order; restricted to one depth, this is the order of ``_walk``."""
+    if width is None:
+        width = _width(gmax)
+    top = width - 1
+    stack = list(reversed(roots)) if roots else [_root(width)]
     while stack:
         state = stack.pop()
         yield state
@@ -136,6 +142,17 @@ def _stats_job(args, visitor=None):
         if visitor is not None:
             visitor(invariants(SemigroupSet(mask, width)))
     return acc
+
+
+def _series_job(args):
+    """The roots' depth d and one Accumulator per depth d..target, over every
+    state below one task's roots, which share their depth."""
+    roots, target, width = args
+    base = roots[0][8]
+    accs = [Accumulator(g, width) for g in range(base, target + 1)]
+    for mask, _, m, F, _, e, pf, alpha, g in _series(target, roots, width):
+        accs[g - base]._add(mask, m, F, e, pf.bit_count(), alpha)
+    return base, accs
 
 
 _TREE_WIDTH = _width(MAX_GENUS)
@@ -189,7 +206,7 @@ def _plan(g, threads, split_depth):
     return EnumerationPlan(g, split_depth, threads)
 
 
-def _tasks(width, depth, target, workers, levels):
+def _tasks(width, depth, target, workers):
     """Split the tree into worker tasks, large ones first.
 
     A task is a tuple of kernel states of one depth, from which a worker
@@ -203,33 +220,38 @@ def _tasks(width, depth, target, workers, levels):
     8 x ``workers`` tasks, which spreads the large subtrees at the left of
     the walk.
 
-    Workers count the nodes from their own roots down; ``levels`` receives
-    the nodes above the frontier and the chain nodes walked here.
+    Returns the tasks and the states that no task holds: those above
+    ``depth``, then the chain nodes O_{depth+1} .. O_target walked here.
     """
-    frontier = list(_walk([_root(width)], depth, width, levels))
-    levels[depth] = 0
+    kept, frontier = [], []
+    for state in _series(depth, width=width):
+        (frontier if state[8] == depth else kept).append(state)
     # Removing the multiplicity is always the first child, so the leftmost
     # node is O_{depth+1}.
     state, rest = frontier[0], frontier[1:]
     n = min(8 * workers, len(rest))
     small = [tuple(rest[i::n]) for i in range(n)]
     large = []
-    for d in range(depth, target):
-        levels[d] += 1
+    for _ in range(depth, target):
+        kept.append(state)
         state, *group = _children(state, width - 1)
         if group:
             large.append(tuple(group))
-    return large + small + [(state,)]
+    return large + small + [(state,)], kept
 
 
-def _run_parallel(plan, width, job):
-    """Results of ``job`` on every task, in task order, and the driver's levels."""
+def _run_parallel(plan, width, job, fold):
+    """Call ``fold`` on the result of ``job`` for every task, in task order and
+    as the results arrive, from one process pool; return the states that no
+    task holds (see ``_tasks``)."""
     target = plan.target_genus
-    levels = [0] * (target + 1)
-    tasks = _tasks(width, plan.split_depth, target, plan.worker_count, levels)
+    tasks, kept = _tasks(width, plan.split_depth, target, plan.worker_count)
     with ProcessPoolExecutor(max_workers=plan.worker_count) as pool:
-        results = list(pool.map(job, [(roots, target, width) for roots in tasks]))
-    return results, levels
+        # as_completed lets go of each future it yields, so a result is held
+        # only until it is folded.
+        for future in as_completed([pool.submit(job, (roots, target, width)) for roots in tasks]):
+            fold(future.result())
+    return kept
 
 
 def count_genus(g, threads=1, split_depth=None):
@@ -243,8 +265,15 @@ def count_genus_series(gmax, threads=1, split_depth=None):
     plan = _plan(gmax, threads, split_depth)
     if plan is None:
         return _count_job(((_root(width),), gmax, width))
-    results, levels = _run_parallel(plan, width, _count_job)
-    return [sum(n) for n in zip(levels, *results)]
+    levels = [0] * (gmax + 1)
+
+    def fold(part):
+        for d, n in enumerate(part):
+            levels[d] += n
+
+    for state in _run_parallel(plan, width, _count_job, fold):
+        levels[state[8]] += 1
+    return levels
 
 
 def iter_semigroups(g):
@@ -264,7 +293,29 @@ def enumerate_genus(g, visitor=None, threads=1, split_depth=None):
     plan = None if visitor is not None else _plan(g, threads, split_depth)
     if plan is None:
         return _stats_job(((_root(width),), g, width), visitor).finalize()
-    acc, *rest = _run_parallel(plan, width, _stats_job)[0]
-    for part in rest:
-        acc.merge_in(part)
+    acc = Accumulator(g, width)
+    _run_parallel(plan, width, _stats_job, acc.merge_in)  # no state is left at depth g
     return acc.finalize()
+
+
+def enumerate_series(gmax, threads=1, split_depth=None):
+    """[GenusAggregate of genus 0, ..., of genus gmax] from a single tree walk.
+
+    Each task keeps one Accumulator per depth it reaches; the driver folds
+    them with the states no task holds, then finalizes once per genus, so
+    every aggregate is byte-identical to ``enumerate_genus``'s.
+    """
+    width = _width(gmax)
+    plan = _plan(gmax, threads, split_depth)
+    if plan is None:
+        return [acc.finalize() for acc in _series_job(((_root(width),), gmax, width))[1]]
+    accs = [Accumulator(g, width) for g in range(gmax + 1)]
+
+    def fold(result):
+        base, parts = result
+        for acc, part in zip(accs[base:], parts):
+            acc.merge_in(part)
+
+    for mask, _, m, F, _, e, pf, alpha, g in _run_parallel(plan, width, _series_job, fold):
+        accs[g]._add(mask, m, F, e, pf.bit_count(), alpha)
+    return [acc.finalize() for acc in accs]

@@ -1,8 +1,10 @@
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from numsem import tree
 from numsem.cli import cache_get, cache_put, run
 from numsem.errors import CorruptCache
 from numsem.tree import enumerate_genus
@@ -91,6 +93,59 @@ def test_figures_csv_schema(tmp_path, capsys):
     assert row[0] == "4"
     assert float(row[1]) == pytest.approx(22 / 28)
     assert float(row[1]) == pytest.approx(float(row[2]) + float(row[3]))
+
+
+def test_figures_with_a_mixed_cache(tmp_path, capsys, monkeypatch):
+    def figures(out, *extra):
+        argv = ["figures", "--figure", "4", "--gmax", "8", "--out", str(out), *extra]
+        assert run(argv) == 0
+        return out.read_bytes()
+
+    cold = figures(tmp_path / "cold.csv")
+    cache = str(tmp_path / "cache")
+    for g in (2, 5, 7, 8):
+        cache_put(cache, enumerate_genus(g), 0.0)
+    corrupt = os.path.join(cache, "genus-5.json")
+    with open(corrupt, "a") as fh:
+        fh.write("}")
+    walks = []
+    series = tree.enumerate_series
+
+    def spy(gmax, threads=1, split_depth=None):
+        walks.append(gmax)
+        return series(gmax, threads, split_depth)
+
+    monkeypatch.setattr(tree, "enumerate_series", spy)
+    capsys.readouterr()
+    assert figures(tmp_path / "mixed.csv", "--cache-dir", cache) == cold
+    assert capsys.readouterr().err == (
+        f"warning: unreadable cache file quarantined: {corrupt}; recomputing\n"
+    )
+    assert os.path.exists(corrupt + ".corrupt")
+    assert walks == [6]  # one walk, down to the largest missing genus
+    for g in range(1, 9):
+        assert cache_get(cache, g) == enumerate_genus(g), g
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a warm run must not walk")
+
+    monkeypatch.setattr(tree, "enumerate_series", no_walk)
+    assert figures(tmp_path / "warm.csv", "--cache-dir", cache) == cold
+
+
+def test_figures_opens_one_pool(tmp_path, monkeypatch):
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(tree, "ProcessPoolExecutor", CountingPool)
+    out = tmp_path / "fig4.csv"
+    argv = ["figures", "--figure", "4", "--gmax", "16", "--threads", "2", "--out", str(out)]
+    assert run(argv) == 0
+    assert pools == [{"max_workers": 2}]
 
 
 def test_figure3_comment_line(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numsem import tree
 from numsem.core import SemigroupSet, minimal_generators, pseudo_frobenius
 from numsem.errors import GenusTooLarge
 from numsem.stats import merge
@@ -20,6 +21,7 @@ from numsem.tree import (
     count_genus,
     count_genus_series,
     enumerate_genus,
+    enumerate_series,
     iter_semigroups,
     root,
 )
@@ -172,6 +174,35 @@ def test_parallel_matches_serial_at_every_split_depth():
         for d in range(g):
             agg = enumerate_genus(g, threads=2, split_depth=d)
             assert agg.canonical_bytes() == serial, (g, d)
+
+
+def test_series_is_the_per_genus_aggregates():
+    # One walk for every genus up to G, serial and at every 2-worker split,
+    # gives enumerate_genus's bytes; counts are the count series'.
+    per_genus = [enumerate_genus(g).canonical_bytes() for g in range(17)]
+    for G in range(17):
+        serial = enumerate_series(G)
+        assert [a.count for a in serial] == count_genus_series(G), G
+        assert [a.canonical_bytes() for a in serial] == per_genus[: G + 1], G
+        for d in range(G):
+            aggs = enumerate_series(G, threads=2, split_depth=d)
+            assert [a.canonical_bytes() for a in aggs] == per_genus[: G + 1], (G, d)
+
+
+def test_series_edge_cases(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("genus 0 needs no worker pool")
+
+    with monkeypatch.context() as m:
+        m.setattr(tree, "ProcessPoolExecutor", no_pool)
+        (agg0,) = enumerate_series(0, threads=2)
+    assert agg0.canonical_bytes() == enumerate_genus(0).canonical_bytes()
+    # Genus 1 splits at depth 0: the root is the only chain node, and O_2
+    # the only task.
+    aggs = enumerate_series(1, threads=2)
+    assert [a.canonical_bytes() for a in aggs] == [
+        enumerate_genus(g).canonical_bytes() for g in (0, 1)
+    ]
 
 
 def test_parallel_counts_match_at_default_split_depth():
