@@ -24,7 +24,7 @@ from .bijections import zhai_partial_sum
 from .errors import CorruptCache, NumsemError
 from .kunzcount import count_embedding_deficit, count_multiplicity_deficit
 from .stats import GenusAggregate
-from .tree import count_genus, enumerate_genus
+from .tree import count_genus
 from .verify import SUITES, run_suite, verify_membership
 
 CACHE_VERSION = 1
@@ -149,6 +149,20 @@ def _cached(genus, cache_dir):
         return None
 
 
+def enumerate_genus(genus, threads=1, series=None):
+    """The aggregate of ``genus``: finalized from ``series``, the per-depth
+    Accumulators of a ``tree.series_accumulators`` walk that reached it, or
+    else from a walk of its own (``tree.enumerate_genus``).
+
+    Every command computes each genus it needs with one call of this, so a
+    caller can see each genus finished (the benchmark's ``figures`` workload
+    ends a timed step after each call).
+    """
+    if series is not None:
+        return series[genus].finalize()
+    return tree.enumerate_genus(genus, threads=threads)
+
+
 def _get_aggregate(genus, threads, cache_dir):
     agg = _cached(genus, cache_dir)
     if agg is None:
@@ -195,12 +209,12 @@ def _cmd_figures(args):
     if missing:
         # One walk and one pool for every missing genus.
         t0 = time.time()
-        series = tree.enumerate_series(max(missing), threads=args.threads)
+        series = tree.series_accumulators(max(missing), threads=args.threads)
         elapsed = time.time() - t0
         for g in missing:
-            aggs[g] = series[g]
+            aggs[g] = enumerate_genus(g, series=series)
             if args.cache_dir:
-                cache_put(args.cache_dir, series[g], elapsed)
+                cache_put(args.cache_dir, aggs[g], elapsed)
     eps = [float(x) for x in args.eps.split(",")] if args.eps else None
     rows = stats.figure_data(args.figure, aggs, genera, eps)
     lines = []

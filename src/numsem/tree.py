@@ -16,9 +16,10 @@ nodes of the last level are the effective generators of the level above.
 Parallel runs walk serially to ``split_depth`` and map the frontier subtrees
 onto worker processes (see ``_tasks``); the driver folds the tasks'
 Accumulators with ``merge_in`` and finalizes once, so the GenusAggregate is
-byte-identical whatever the worker count.  ``enumerate_series`` does the same
-for every genus up to gmax at once, from one pre-order walk (``_series``)
-with one Accumulator per depth.
+byte-identical whatever the worker count.  ``series_accumulators`` does the
+same for every genus up to gmax at once, from one pre-order walk
+(``_series``) with one Accumulator per depth, and ``enumerate_series``
+finalizes them.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "iter_semigroups",
     "enumerate_genus",
     "enumerate_series",
+    "series_accumulators",
 ]
 
 
@@ -298,17 +300,18 @@ def enumerate_genus(g, visitor=None, threads=1, split_depth=None):
     return acc.finalize()
 
 
-def enumerate_series(gmax, threads=1, split_depth=None):
-    """[GenusAggregate of genus 0, ..., of genus gmax] from a single tree walk.
+def series_accumulators(gmax, threads=1, split_depth=None):
+    """[Accumulator of genus 0, ..., of genus gmax] from a single tree walk,
+    not yet finalized.
 
     Each task keeps one Accumulator per depth it reaches; the driver folds
-    them with the states no task holds, then finalizes once per genus, so
-    every aggregate is byte-identical to ``enumerate_genus``'s.
+    them with the states no task holds, so finalizing each gives the bytes
+    of ``enumerate_genus``.
     """
     width = _width(gmax)
     plan = _plan(gmax, threads, split_depth)
     if plan is None:
-        return [acc.finalize() for acc in _series_job(((_root(width),), gmax, width))[1]]
+        return _series_job(((_root(width),), gmax, width))[1]
     accs = [Accumulator(g, width) for g in range(gmax + 1)]
 
     def fold(result):
@@ -318,4 +321,10 @@ def enumerate_series(gmax, threads=1, split_depth=None):
 
     for mask, _, m, F, _, e, pf, alpha, g in _run_parallel(plan, width, _series_job, fold):
         accs[g]._add(mask, m, F, e, pf.bit_count(), alpha)
-    return [acc.finalize() for acc in accs]
+    return accs
+
+
+def enumerate_series(gmax, threads=1, split_depth=None):
+    """[GenusAggregate of genus 0, ..., of genus gmax] from a single tree walk
+    (``series_accumulators``), each byte-identical to ``enumerate_genus``'s."""
+    return [acc.finalize() for acc in series_accumulators(gmax, threads, split_depth)]

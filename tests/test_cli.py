@@ -4,7 +4,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from numsem import tree
+from numsem import cli, tree
 from numsem.cli import cache_get, cache_put, run
 from numsem.errors import CorruptCache
 from numsem.tree import enumerate_genus
@@ -109,13 +109,21 @@ def test_figures_with_a_mixed_cache(tmp_path, capsys, monkeypatch):
     with open(corrupt, "a") as fh:
         fh.write("}")
     walks = []
-    series = tree.enumerate_series
+    series = tree.series_accumulators
 
     def spy(gmax, threads=1, split_depth=None):
         walks.append(gmax)
         return series(gmax, threads, split_depth)
 
-    monkeypatch.setattr(tree, "enumerate_series", spy)
+    monkeypatch.setattr(tree, "series_accumulators", spy)
+    finished = []
+    per_genus = cli.enumerate_genus
+
+    def each(genus, threads=1, series=None):
+        finished.append(genus)
+        return per_genus(genus, threads, series)
+
+    monkeypatch.setattr(cli, "enumerate_genus", each)
     capsys.readouterr()
     assert figures(tmp_path / "mixed.csv", "--cache-dir", cache) == cold
     assert capsys.readouterr().err == (
@@ -123,14 +131,17 @@ def test_figures_with_a_mixed_cache(tmp_path, capsys, monkeypatch):
     )
     assert os.path.exists(corrupt + ".corrupt")
     assert walks == [6]  # one walk, down to the largest missing genus
+    assert finished == [1, 3, 4, 5, 6]  # one call per computed genus
     for g in range(1, 9):
         assert cache_get(cache, g) == enumerate_genus(g), g
 
     def no_walk(*args, **kwargs):
         raise AssertionError("a warm run must not walk")
 
-    monkeypatch.setattr(tree, "enumerate_series", no_walk)
+    monkeypatch.setattr(tree, "series_accumulators", no_walk)
+    monkeypatch.setattr(tree, "enumerate_genus", no_walk)
     assert figures(tmp_path / "warm.csv", "--cache-dir", cache) == cold
+    assert finished == [1, 3, 4, 5, 6]  # nothing computed
 
 
 def test_figures_opens_one_pool(tmp_path, monkeypatch):
