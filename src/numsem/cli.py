@@ -149,25 +149,22 @@ def _cached(genus, cache_dir):
         return None
 
 
-def enumerate_genus(genus, threads=1, series=None):
-    """The aggregate of ``genus``: finalized from ``series``, the per-depth
-    Accumulators of a ``tree.series_accumulators`` walk that reached it, or
-    else from a walk of its own (``tree.enumerate_genus``).
+def enumerate_genus(genus, series):
+    """The aggregate of ``genus``, finalized from ``series``, the Accumulators
+    of a ``tree.series_accumulators`` walk that included it.
 
-    Every command computes each genus it needs with one call of this, so a
+    ``figures`` finishes each genus it computes with one call of this, so a
     caller can see each genus finished (the benchmark's ``figures`` workload
     ends a timed step after each call).
     """
-    if series is not None:
-        return series[genus].finalize()
-    return tree.enumerate_genus(genus, threads=threads)
+    return series[genus].finalize()
 
 
 def _get_aggregate(genus, threads, cache_dir):
     agg = _cached(genus, cache_dir)
     if agg is None:
         t0 = time.time()
-        agg = enumerate_genus(genus, threads=threads)
+        agg = tree.enumerate_genus(genus, threads=threads)
         if cache_dir:
             cache_put(cache_dir, agg, time.time() - t0)
     return agg
@@ -207,12 +204,13 @@ def _cmd_figures(args):
     aggs = {g: _cached(g, args.cache_dir) for g in genera}
     missing = [g for g in genera if aggs[g] is None]
     if missing:
-        # One walk and one pool for every missing genus.
+        # One walk and one pool for every missing genus, accumulating those
+        # genera only.
         t0 = time.time()
-        series = tree.series_accumulators(max(missing), threads=args.threads)
+        series = tree.series_accumulators(missing, threads=args.threads)
         elapsed = time.time() - t0
         for g in missing:
-            aggs[g] = enumerate_genus(g, series=series)
+            aggs[g] = enumerate_genus(g, series)
             if args.cache_dir:
                 cache_put(args.cache_dir, aggs[g], elapsed)
     eps = [float(x) for x in args.eps.split(",")] if args.eps else None

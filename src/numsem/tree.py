@@ -17,15 +17,15 @@ Parallel runs walk serially to ``split_depth`` and map the frontier subtrees
 onto worker processes (see ``_tasks``); the driver folds the tasks'
 Accumulators with ``merge_in`` and finalizes once, so the GenusAggregate is
 byte-identical whatever the worker count.  ``series_accumulators`` does the
-same for every genus up to gmax at once, from one pre-order walk
-(``_series``) with one Accumulator per depth, and ``enumerate_series``
-finalizes them.
+same for several genera at once, from one pre-order walk (``_series``) down
+to the largest, with one Accumulator per requested depth.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
+from functools import partial
 
 from .core import SemigroupSet, invariants
 from .errors import GenusTooLarge
@@ -42,7 +42,6 @@ __all__ = [
     "count_genus_series",
     "iter_semigroups",
     "enumerate_genus",
-    "enumerate_series",
     "series_accumulators",
 ]
 
@@ -146,15 +145,19 @@ def _stats_job(args, visitor=None):
     return acc
 
 
-def _series_job(args):
-    """The roots' depth d and one Accumulator per depth d..target, over every
-    state below one task's roots, which share their depth."""
+def _series_job(genera, args):
+    """{g: Accumulator} for each depth g in ``genera`` that the walk below one
+    task's roots (which share their depth) reaches; no other state is
+    accumulated."""
     roots, target, width = args
     base = roots[0][8]
-    accs = [Accumulator(g, width) for g in range(base, target + 1)]
-    for mask, _, m, F, _, e, pf, alpha, g in _series(target, roots, width):
-        accs[g - base]._add(mask, m, F, e, pf.bit_count(), alpha)
-    return base, accs
+    accs = [Accumulator(g, width) if g in genera else None for g in range(base, target + 1)]
+    for state in _series(target, roots, width):
+        acc = accs[state[8] - base]
+        if acc is not None:
+            mask, _, m, F, _, e, pf, alpha, _ = state
+            acc._add(mask, m, F, e, pf.bit_count(), alpha)
+    return {acc.genus: acc for acc in accs if acc is not None}
 
 
 _TREE_WIDTH = _width(MAX_GENUS)
@@ -243,9 +246,10 @@ def _tasks(width, depth, target, workers):
 
 
 def _run_parallel(plan, width, job, fold):
-    """Call ``fold`` on the result of ``job`` for every task, in task order and
-    as the results arrive, from one process pool; return the states that no
-    task holds (see ``_tasks``)."""
+    """Call ``fold`` on the result of ``job`` for every task, from one process
+    pool, in the order the tasks complete, so ``fold`` must not depend on
+    that order (every job's fold is a sum); return the states that no task
+    holds (see ``_tasks``)."""
     target = plan.target_genus
     tasks, kept = _tasks(width, plan.split_depth, target, plan.worker_count)
     with ProcessPoolExecutor(max_workers=plan.worker_count) as pool:
@@ -300,31 +304,29 @@ def enumerate_genus(g, visitor=None, threads=1, split_depth=None):
     return acc.finalize()
 
 
-def series_accumulators(gmax, threads=1, split_depth=None):
-    """[Accumulator of genus 0, ..., of genus gmax] from a single tree walk,
-    not yet finalized.
+def series_accumulators(genera, threads=1, split_depth=None):
+    """{g: Accumulator of genus g} for each g in ``genera``, not yet
+    finalized, from a single tree walk down to the largest.
 
-    Each task keeps one Accumulator per depth it reaches; the driver folds
-    them with the states no task holds, so finalizing each gives the bytes
-    of ``enumerate_genus``.
+    Only the states of those depths are accumulated.  Each task keeps one
+    Accumulator per such depth it reaches; the driver folds them with the
+    states no task holds, so finalizing each gives the bytes of
+    ``enumerate_genus``.
     """
+    genera = frozenset(genera)
+    gmax = max(genera)
     width = _width(gmax)
     plan = _plan(gmax, threads, split_depth)
+    job = partial(_series_job, genera)
     if plan is None:
-        return _series_job(((_root(width),), gmax, width))[1]
-    accs = [Accumulator(g, width) for g in range(gmax + 1)]
+        return job(((_root(width),), gmax, width))
+    accs = {g: Accumulator(g, width) for g in sorted(genera)}
 
-    def fold(result):
-        base, parts = result
-        for acc, part in zip(accs[base:], parts):
-            acc.merge_in(part)
+    def fold(parts):
+        for g, part in parts.items():
+            accs[g].merge_in(part)
 
-    for mask, _, m, F, _, e, pf, alpha, g in _run_parallel(plan, width, _series_job, fold):
-        accs[g]._add(mask, m, F, e, pf.bit_count(), alpha)
+    for mask, _, m, F, _, e, pf, alpha, g in _run_parallel(plan, width, job, fold):
+        if g in accs:
+            accs[g]._add(mask, m, F, e, pf.bit_count(), alpha)
     return accs
-
-
-def enumerate_series(gmax, threads=1, split_depth=None):
-    """[GenusAggregate of genus 0, ..., of genus gmax] from a single tree walk
-    (``series_accumulators``), each byte-identical to ``enumerate_genus``'s."""
-    return [acc.finalize() for acc in series_accumulators(gmax, threads, split_depth)]

@@ -111,17 +111,17 @@ def test_figures_with_a_mixed_cache(tmp_path, capsys, monkeypatch):
     walks = []
     series = tree.series_accumulators
 
-    def spy(gmax, threads=1, split_depth=None):
-        walks.append(gmax)
-        return series(gmax, threads, split_depth)
+    def spy(genera, threads=1, split_depth=None):
+        walks.append(sorted(genera))
+        return series(genera, threads, split_depth)
 
     monkeypatch.setattr(tree, "series_accumulators", spy)
     finished = []
     per_genus = cli.enumerate_genus
 
-    def each(genus, threads=1, series=None):
+    def each(genus, series):
         finished.append(genus)
-        return per_genus(genus, threads, series)
+        return per_genus(genus, series)
 
     monkeypatch.setattr(cli, "enumerate_genus", each)
     capsys.readouterr()
@@ -130,7 +130,7 @@ def test_figures_with_a_mixed_cache(tmp_path, capsys, monkeypatch):
         f"warning: unreadable cache file quarantined: {corrupt}; recomputing\n"
     )
     assert os.path.exists(corrupt + ".corrupt")
-    assert walks == [6]  # one walk, down to the largest missing genus
+    assert walks == [[1, 3, 4, 5, 6]]  # one walk, for the missing genera only
     assert finished == [1, 3, 4, 5, 6]  # one call per computed genus
     for g in range(1, 9):
         assert cache_get(cache, g) == enumerate_genus(g), g

@@ -21,9 +21,9 @@ from numsem.tree import (
     count_genus,
     count_genus_series,
     enumerate_genus,
-    enumerate_series,
     iter_semigroups,
     root,
+    series_accumulators,
 )
 
 KNOWN = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592]
@@ -176,17 +176,25 @@ def test_parallel_matches_serial_at_every_split_depth():
             assert agg.canonical_bytes() == serial, (g, d)
 
 
+def _series_bytes(genera, threads=1, split_depth=None):
+    """canonical_bytes of each aggregate of a series walk, by genus."""
+    accs = series_accumulators(genera, threads, split_depth)
+    return {g: acc.finalize().canonical_bytes() for g, acc in accs.items()}
+
+
 def test_series_is_the_per_genus_aggregates():
-    # One walk for every genus up to G, serial and at every 2-worker split,
-    # gives enumerate_genus's bytes; counts are the count series'.
-    per_genus = [enumerate_genus(g).canonical_bytes() for g in range(17)]
+    # One walk for every genus up to G, or for a few genera only, serial and
+    # at every 2-worker split, gives enumerate_genus's bytes and accumulates
+    # no other depth; counts are the count series'.
+    per_genus = {g: enumerate_genus(g).canonical_bytes() for g in range(17)}
     for G in range(17):
-        serial = enumerate_series(G)
-        assert [a.count for a in serial] == count_genus_series(G), G
-        assert [a.canonical_bytes() for a in serial] == per_genus[: G + 1], G
-        for d in range(G):
-            aggs = enumerate_series(G, threads=2, split_depth=d)
-            assert [a.canonical_bytes() for a in aggs] == per_genus[: G + 1], (G, d)
+        accs = series_accumulators(range(G + 1))
+        assert [accs[g].count for g in range(G + 1)] == count_genus_series(G), G
+    for genera in [range(G + 1) for G in range(17)] + [{12}, {1, 12}, {3, 7, 8}, {0, 5}]:
+        want = {g: per_genus[g] for g in genera}
+        assert _series_bytes(genera) == want, genera
+        for d in range(max(genera)):
+            assert _series_bytes(genera, 2, d) == want, (genera, d)
 
 
 def test_series_edge_cases(monkeypatch):
@@ -195,14 +203,12 @@ def test_series_edge_cases(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(tree, "ProcessPoolExecutor", no_pool)
-        (agg0,) = enumerate_series(0, threads=2)
-    assert agg0.canonical_bytes() == enumerate_genus(0).canonical_bytes()
+        assert _series_bytes([0], threads=2) == {0: enumerate_genus(0).canonical_bytes()}
     # Genus 1 splits at depth 0: the root is the only chain node, and O_2
     # the only task.
-    aggs = enumerate_series(1, threads=2)
-    assert [a.canonical_bytes() for a in aggs] == [
-        enumerate_genus(g).canonical_bytes() for g in (0, 1)
-    ]
+    assert _series_bytes([0, 1], threads=2) == {
+        g: enumerate_genus(g).canonical_bytes() for g in (0, 1)
+    }
 
 
 def test_parallel_counts_match_at_default_split_depth():
