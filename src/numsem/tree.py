@@ -10,8 +10,11 @@ state is ``(mask, rev, m, F, eff, e, pf, alpha, g)``: the membership mask
 and its bit reversal in one width W, m, F, the effective generators (the
 minimal generators above F) as a mask, e, the pseudo-Frobenius numbers as a
 mask, the gap sum and the genus.  ``_children`` derives each child's state
-from its parent's in O(1) big-int steps.  Counting stops a level early: the
-nodes of the last level are the effective generators of the level above.
+from its parent's in O(1) big-int steps.  Counting stops two levels early,
+by Fromentin and Hivert's rule: the nodes of the last level but one are the
+effective generators of the level above, and ``_grandchildren`` reads each
+child's effective generators from its parent in one test, so the last level
+is counted from the level two above without building a state of either.
 
 Parallel runs walk serially to ``split_depth`` and map the frontier subtrees
 onto worker processes (see ``_tasks``); the driver folds the tasks'
@@ -90,6 +93,30 @@ def _children(state, top):
     return out
 
 
+def _grandchildren(state, top):
+    """The number of grandchildren: the children's effective generators, read
+    as ``_children`` derives them, without building a child.  The child
+    removing y keeps the k generators above y, plus y + m unless
+    y + m = a + b; an ordinary S's child removing m has m+1 .. 2m+1.
+    """
+    mask, rev, m, _, eff, _, _, _, _ = state
+    k = eff.bit_count()
+    n = 0
+    while eff:
+        low = eff & -eff
+        eff ^= low
+        k -= 1
+        y = low.bit_length() - 1
+        ty = top - y
+        if y == m:
+            n += m + 1
+        elif (mask ^ low) & ((rev ^ (1 << ty)) >> (ty - m)) & ((1 << (y + m)) - 2):
+            n += k
+        else:
+            n += k + 1
+    return n
+
+
 def _walk(roots, depth, width, levels):
     """Yield the states at ``depth`` below ``roots`` (of one depth), depth first
     with an explicit stack and children in ascending order of the removed
@@ -125,13 +152,27 @@ def _series(gmax, roots=None, width=None):
 
 
 def _count_job(args):
-    """Nodes per depth below one task's roots, which share their depth."""
+    """Nodes per depth below one task's roots, which share their depth d.
+
+    Roots at d = target are that level; at d = target - 1, level target is
+    their effective generators.  Otherwise the walk stops at target - 2, and
+    each state there adds its effective generators to level target - 1 and
+    its ``_grandchildren`` to level target.
+    """
     roots, target, width = args
     levels = [0] * (target + 1)
-    if roots[0][8] == target:
+    depth = roots[0][8]
+    if depth == target:
         levels[target] = len(roots)
-    else:
+    elif depth == target - 1:
         levels[target] = sum(s[4].bit_count() for s in _walk(roots, target - 1, width, levels))
+    else:
+        top = width - 1
+        below = above = 0
+        for s in _walk(roots, target - 2, width, levels):
+            below += s[4].bit_count()
+            above += _grandchildren(s, top)
+        levels[target - 1 :] = below, above
     return levels
 
 

@@ -170,6 +170,17 @@ def test_criterion_10_growth_series(series30):
     )
 
 
+def test_growth_series_is_a007323(series30):
+    # N(0..30), OEIS A007323 (the table of Fromentin and Hivert,
+    # arXiv:1305.3831).
+    a007323 = [
+        1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857,
+        4806, 8045, 13467, 22464, 37396, 62194, 103246, 170963, 282828,
+        467224, 770832, 1270267, 2091030, 3437839, 5646773,
+    ]
+    assert series30 == a007323
+
+
 def test_criterion_11_determinism():
     ok = True
     for g in range(21):

@@ -13,6 +13,8 @@ from numsem.tree import (
     MAX_GENUS,
     EnumerationPlan,
     _children,
+    _count_job,
+    _grandchildren,
     _root,
     _series,
     _walk,
@@ -27,6 +29,8 @@ from numsem.tree import (
 )
 
 KNOWN = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592]
+# N(0..22), OEIS A007323.
+N_TO_22 = KNOWN + [1001, 1693, 2857, 4806, 8045, 13467, 22464, 37396, 62194, 103246]
 
 
 def test_root_child():
@@ -59,6 +63,10 @@ def test_count_single():
     assert count_genus(5) == 12
     assert count_genus(1) == 1
     assert count_genus(0) == 1
+
+
+def test_count_series_to_genus_22():
+    assert count_genus_series(22) == N_TO_22
 
 
 def test_iter_matches_count():
@@ -112,6 +120,37 @@ def test_series_restricted_to_a_depth_is_the_walk_order():
     for g in range(13):
         walk = list(_walk([_root(width)], g, width, [0] * (g + 1)))
         assert [s for s in series if s[8] == g] == walk
+
+
+def test_grandchildren_are_the_childrens_generators():
+    top = _width(14) - 1
+    for state in _series(14):
+        kids = _children(state, top)
+        assert _grandchildren(state, top) == sum(k[4].bit_count() for k in kids), state
+
+
+def _count_one_level_early(roots, target, width):
+    """The levels of a count that stops one level early: the reference for
+    ``_count_job``, which stops two levels early."""
+    levels = [0] * (target + 1)
+    if roots[0][8] == target:
+        levels[target] = len(roots)
+    else:
+        levels[target] = sum(s[4].bit_count() for s in _walk(roots, target - 1, width, levels))
+    return levels
+
+
+def test_count_job_at_each_root_depth():
+    # Roots at depth target, target - 1 and target - 2 take the three
+    # branches of _count_job; deeper roots walk to target - 2 first.
+    for target in range(13):
+        width = _width(target)
+        states = list(_series(target, width=width))
+        for d in range(target + 1):
+            at_d = [s for s in states if s[8] == d]
+            for roots in {tuple(at_d), tuple(at_d[:1]), tuple(at_d[1::2])} - {()}:
+                want = _count_one_level_early(roots, target, width)
+                assert _count_job((roots, target, width)) == want, (target, d, roots)
 
 
 def test_iter_semigroups_is_lazy():
