@@ -213,8 +213,7 @@ def _cmd_figures(args):
             aggs[g] = enumerate_genus(g, series)
             if args.cache_dir:
                 cache_put(args.cache_dir, aggs[g], elapsed)
-    eps = [float(x) for x in args.eps.split(",")] if args.eps else None
-    rows = stats.figure_data(args.figure, aggs, genera, eps)
+    rows = stats.figure_data(args.figure, aggs, genera, args.eps)
     lines = []
     if args.figure in (1, 2, 3):
         if args.figure == 3:
@@ -247,6 +246,10 @@ def _cmd_verify(args):
 
 
 def _cmd_count(args):
+    if args.mode == "multiplicity" and args.deficit < -1:
+        print(f"error: a multiplicity deficit must be at least -1, not {args.deficit}",
+              file=sys.stderr)
+        return 2
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if args.mode == "multiplicity":
@@ -274,7 +277,7 @@ def _cmd_prob(args):
     elif args.predicate is not None:
         pred = args.predicate
         if args.eps is not None:
-            p = stats.proportion(agg, (pred, float(args.eps)))
+            p = stats.proportion(agg, (pred, args.eps))
         else:
             p = stats.proportion(agg, pred)
     else:
@@ -296,6 +299,15 @@ def _genus(text):
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, not {n}")
     return n
+
+
+def _floats(text):
+    """argparse type of the figures --eps: a comma-separated float list (an
+    empty value keeps the figure's default epsilons)."""
+    try:
+        return [float(x) for x in text.split(",")] if text else None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float list: {text!r}") from None
 
 
 def _add_common(p, genus=False):
@@ -322,7 +334,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--figure", type=int, choices=(1, 2, 3, 4, 5), required=True)
     p.add_argument("--gmax", type=_genus, required=True)
-    p.add_argument("--eps", default=None, help="comma-separated epsilon list")
+    p.add_argument("--eps", type=_floats, default=None, help="comma-separated epsilon list")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_figures)
 
@@ -350,7 +362,7 @@ def build_parser():
     p.add_argument("--member", type=int, default=None)
     p.add_argument("--pair", type=int, nargs=2, default=None)
     p.add_argument("--predicate", default=None)
-    p.add_argument("--eps", default=None)
+    p.add_argument("--eps", type=float, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_prob)
 

@@ -16,21 +16,25 @@ effective generators of the level above, and ``_grandchildren`` reads each
 child's effective generators from its parent in one test, so the last level
 is counted from the level two above without building a state of either.
 
+``_series`` is the one walk: a depth-first pre-order walk with an explicit
+stack.  Counting, statistics (``series_accumulators``, and through it
+``enumerate_genus``), ``iter_semigroups``, the split into tasks (``_tasks``)
+and every tree-walking verify suite read it.
+
 Parallel runs walk serially to ``split_depth`` and map the frontier subtrees
-onto worker processes (see ``_tasks``); the driver folds the tasks'
-Accumulators with ``merge_in`` and finalizes once, so the GenusAggregate is
-byte-identical whatever the worker count.  ``series_accumulators`` does the
-same for several genera at once, from one pre-order walk (``_series``) down
-to the largest, with one Accumulator per requested depth.
+onto worker processes (see ``_tasks``); the driver folds the tasks' results
+(level counts, or one Accumulator per requested genus, merged with
+``merge_in``) and finalizes once, so the GenusAggregate is byte-identical
+whatever the worker count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
-from .core import SemigroupSet, invariants
+from .core import SemigroupSet
 from .errors import GenusTooLarge
 from .stats import Accumulator
 
@@ -38,9 +42,7 @@ MAX_GENUS = 45
 DEFAULT_SPLIT_DEPTH = 14
 
 __all__ = [
-    "TreeNode",
     "EnumerationPlan",
-    "children",
     "count_genus",
     "count_genus_series",
     "iter_semigroups",
@@ -117,29 +119,10 @@ def _grandchildren(state, top):
     return n
 
 
-def _walk(roots, depth, width, levels):
-    """Yield the states at ``depth`` below ``roots`` (of one depth), depth first
-    with an explicit stack and children in ascending order of the removed
-    generator; ``levels[d]`` counts the nodes at depth d, roots included.
-    """
-    top = width - 1
-    levels[roots[0][8]] += len(roots)
-    stack = list(reversed(roots))
-    while stack:
-        state = stack.pop()
-        g = state[8]
-        if g == depth:
-            yield state
-            continue
-        kids = _children(state, top)
-        levels[g + 1] += len(kids)
-        stack.extend(reversed(kids))
-
-
 def _series(gmax, roots=None, width=None):
     """Yield every state of depth <= gmax below ``roots`` (of one depth; by
     default the root, in width ``_width(gmax)``), roots included, depth first
-    in pre-order; restricted to one depth, this is the order of ``_walk``."""
+    in pre-order, children in ascending order of the removed generator."""
     if width is None:
         width = _width(gmax)
     top = width - 1
@@ -154,36 +137,23 @@ def _series(gmax, roots=None, width=None):
 def _count_job(args):
     """Nodes per depth below one task's roots, which share their depth d.
 
-    Roots at d = target are that level; at d = target - 1, level target is
-    their effective generators.  Otherwise the walk stops at target - 2, and
-    each state there adds its effective generators to level target - 1 and
-    its ``_grandchildren`` to level target.
+    The walk stops at depth stop = max(d, target - 2).  When stop < target,
+    each state at stop adds its effective generators (its children) to level
+    stop + 1 and, when stop + 2 = target, its ``_grandchildren`` to level
+    target.
     """
     roots, target, width = args
+    top = width - 1
+    stop = max(roots[0][8], target - 2)
     levels = [0] * (target + 1)
-    depth = roots[0][8]
-    if depth == target:
-        levels[target] = len(roots)
-    elif depth == target - 1:
-        levels[target] = sum(s[4].bit_count() for s in _walk(roots, target - 1, width, levels))
-    else:
-        top = width - 1
-        below = above = 0
-        for s in _walk(roots, target - 2, width, levels):
-            below += s[4].bit_count()
-            above += _grandchildren(s, top)
-        levels[target - 1 :] = below, above
+    for state in _series(stop, roots, width):
+        g = state[8]
+        levels[g] += 1
+        if g == stop < target:
+            levels[g + 1] += state[4].bit_count()
+            if g + 2 == target:
+                levels[target] += _grandchildren(state, top)
     return levels
-
-
-def _stats_job(args, visitor=None):
-    roots, target, width = args
-    acc = Accumulator(target, width)
-    for mask, _, m, F, _, e, pf, alpha, _ in _walk(roots, target, width, [0] * (target + 1)):
-        acc._add(mask, m, F, e, pf.bit_count(), alpha)
-        if visitor is not None:
-            visitor(invariants(SemigroupSet(mask, width)))
-    return acc
 
 
 def _series_job(genera, args):
@@ -199,34 +169,6 @@ def _series_job(genera, args):
             mask, _, m, F, _, e, pf, alpha, _ = state
             acc._add(mask, m, F, e, pf.bit_count(), alpha)
     return {acc.genus: acc for acc in accs if acc is not None}
-
-
-_TREE_WIDTH = _width(MAX_GENUS)
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    """A semigroup together with its removable (effective) generators."""
-
-    semigroup: SemigroupSet
-    effective_generators: tuple
-    state: tuple = field(repr=False, compare=False)  # the kernel state
-
-
-def _node(state):
-    eff = state[4]
-    gens = tuple(y for y in range(eff.bit_length()) if eff >> y & 1)
-    return TreeNode(SemigroupSet(state[0], _TREE_WIDTH), gens, state)
-
-
-def root():
-    return _node(_root(_TREE_WIDTH))
-
-
-def children(node):
-    """Child nodes in ascending order of the removed generator."""
-    _width(node.semigroup.genus + 1)  # raises GenusTooLarge past MAX_GENUS
-    return [_node(state) for state in _children(node.state, _TREE_WIDTH - 1)]
 
 
 @dataclass(frozen=True)
@@ -326,23 +268,14 @@ def count_genus_series(gmax, threads=1, split_depth=None):
 def iter_semigroups(g):
     """Yield every SemigroupSet of genus g (single-threaded, ascending-child order)."""
     width = _width(g)
-    for state in _walk([_root(width)], g, width, [0] * (g + 1)):
-        yield SemigroupSet(state[0], width)
+    for state in _series(g, width=width):
+        if state[8] == g:
+            yield SemigroupSet(state[0], width)
 
 
-def enumerate_genus(g, visitor=None, threads=1, split_depth=None):
-    """Aggregate statistics over all of genus g; optionally call visitor per record.
-
-    The visitor receives one InvariantRecord per semigroup and forces a
-    single-threaded walk (it may close over arbitrary state).
-    """
-    width = _width(g)
-    plan = None if visitor is not None else _plan(g, threads, split_depth)
-    if plan is None:
-        return _stats_job(((_root(width),), g, width), visitor).finalize()
-    acc = Accumulator(g, width)
-    _run_parallel(plan, width, _stats_job, acc.merge_in)  # no state is left at depth g
-    return acc.finalize()
+def enumerate_genus(g, threads=1, split_depth=None):
+    """Aggregate statistics over all semigroups of genus g."""
+    return series_accumulators((g,), threads, split_depth)[g].finalize()
 
 
 def series_accumulators(genera, threads=1, split_depth=None):
@@ -351,8 +284,7 @@ def series_accumulators(genera, threads=1, split_depth=None):
 
     Only the states of those depths are accumulated.  Each task keeps one
     Accumulator per such depth it reaches; the driver folds them with the
-    states no task holds, so finalizing each gives the bytes of
-    ``enumerate_genus``.
+    states no task holds, so the bytes do not depend on the worker count.
     """
     genera = frozenset(genera)
     gmax = max(genera)

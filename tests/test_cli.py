@@ -57,6 +57,31 @@ def test_count_subcommand(capsys):
     assert capsys.readouterr().out.strip() == "14"
 
 
+def test_count_multiplicity_deficit_below_minus_one_is_usage_error(capsys):
+    assert run(["count", "multiplicity", "--genus", "5", "--deficit", "-9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    # No semigroup has e = g + 9: the embedding count stays a plain 0.
+    assert run(["count", "embedding", "--genus", "5", "--deficit", "-9"]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prob", "--genus", "5", "--predicate", "e_band", "--eps", "abc"],
+        ["figures", "--figure", "1", "--gmax", "3", "--eps", "x"],
+        ["figures", "--figure", "1", "--gmax", "3", "--eps", "0.2,,0.1"],
+    ],
+)
+def test_malformed_eps_is_usage_error(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --eps" in captured.err
+
+
 def test_count_warns_below_threshold(capsys):
     assert run(["count", "multiplicity", "--genus", "5", "--deficit", "1"]) == 0
     captured = capsys.readouterr()

@@ -1,5 +1,7 @@
+import hashlib
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,14 +19,11 @@ from numsem.tree import (
     _grandchildren,
     _root,
     _series,
-    _walk,
     _width,
-    children,
     count_genus,
     count_genus_series,
     enumerate_genus,
     iter_semigroups,
-    root,
     series_accumulators,
 )
 
@@ -33,26 +32,33 @@ KNOWN = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592]
 N_TO_22 = KNOWN + [1001, 1693, 2857, 4806, 8045, 13467, 22464, 37396, 62194, 103246]
 
 
+W = _width(12)
+
+
+def _gaps(state):
+    return SemigroupSet(state[0], W).gaps()
+
+
 def test_root_child():
-    kids = children(root())
+    kids = _children(_root(W), W - 1)
     assert len(kids) == 1
-    assert kids[0].semigroup.gaps() == (1,)
+    assert _gaps(kids[0]) == (1,)
 
 
 def test_children_of_gap1():
-    node = children(root())[0]
-    assert node.effective_generators == (2, 3)
-    kids = children(node)
-    assert [k.semigroup.gaps() for k in kids] == [(1, 2), (1, 3)]
+    (state,) = _children(_root(W), W - 1)
+    assert state[4] == 1 << 2 | 1 << 3  # the effective generators 2 and 3
+    kids = _children(state, W - 1)
+    assert [_gaps(k) for k in kids] == [(1, 2), (1, 3)]
 
 
 def test_ordinary_children():
-    node = root()
+    state = _root(W)
     for _ in range(5):
-        node = children(node)[0]  # leftmost child stays ordinary
-    g = node.semigroup.genus
-    assert node.semigroup.gaps() == tuple(range(1, g + 1))
-    assert len(children(node)) == g + 1
+        state = _children(state, W - 1)[0]  # leftmost child stays ordinary
+    g = state[8]
+    assert _gaps(state) == tuple(range(1, g + 1))
+    assert len(_children(state, W - 1)) == g + 1
 
 
 def test_count_series():
@@ -80,11 +86,10 @@ def test_iter_matches_count():
 def test_genus_too_large():
     with pytest.raises(GenusTooLarge):
         count_genus(46)
-    node = root()
-    for _ in range(MAX_GENUS):
-        node = children(node)[0]
     with pytest.raises(GenusTooLarge):
-        children(node)
+        next(iter_semigroups(MAX_GENUS + 1))
+    with pytest.raises(GenusTooLarge):
+        enumerate_genus(MAX_GENUS + 1)
 
 
 def _bits(ns):
@@ -114,14 +119,6 @@ def test_kernel_state_matches_from_scratch(depth, data):
         state = kids[data.draw(st.integers(0, len(kids) - 1))]
 
 
-def test_series_restricted_to_a_depth_is_the_walk_order():
-    width = _width(12)
-    series = list(_series(12))
-    for g in range(13):
-        walk = list(_walk([_root(width)], g, width, [0] * (g + 1)))
-        assert [s for s in series if s[8] == g] == walk
-
-
 def test_grandchildren_are_the_childrens_generators():
     top = _width(14) - 1
     for state in _series(14):
@@ -129,27 +126,23 @@ def test_grandchildren_are_the_childrens_generators():
         assert _grandchildren(state, top) == sum(k[4].bit_count() for k in kids), state
 
 
-def _count_one_level_early(roots, target, width):
-    """The levels of a count that stops one level early: the reference for
-    ``_count_job``, which stops two levels early."""
-    levels = [0] * (target + 1)
-    if roots[0][8] == target:
-        levels[target] = len(roots)
-    else:
-        levels[target] = sum(s[4].bit_count() for s in _walk(roots, target - 1, width, levels))
-    return levels
+def _count_full_walk(roots, target, width):
+    """The levels of a walk that builds every state down to ``target``: the
+    reference for ``_count_job``, which stops two levels early."""
+    per_depth = Counter(s[8] for s in _series(target, roots, width))
+    return [per_depth[d] for d in range(target + 1)]
 
 
 def test_count_job_at_each_root_depth():
-    # Roots at depth target, target - 1 and target - 2 take the three
-    # branches of _count_job; deeper roots walk to target - 2 first.
+    # Roots at depth target and target - 1 walk no deeper than themselves;
+    # shallower roots walk to target - 2 and count the last two levels there.
     for target in range(13):
         width = _width(target)
         states = list(_series(target, width=width))
         for d in range(target + 1):
             at_d = [s for s in states if s[8] == d]
             for roots in {tuple(at_d), tuple(at_d[:1]), tuple(at_d[1::2])} - {()}:
-                want = _count_one_level_early(roots, target, width)
+                want = _count_full_walk(roots, target, width)
                 assert _count_job((roots, target, width)) == want, (target, d, roots)
 
 
@@ -163,25 +156,22 @@ def test_iter_semigroups_is_lazy():
     assert peak < 1 << 20
 
 
-def _leaves(node, depth):
+def _leaves(state, depth):
+    """The gaps of the depth-``depth`` descendants of ``state``, by recursion
+    over ``_children``: the order reference, independent of the walk stack."""
     if depth == 0:
-        yield node.semigroup.gaps()
+        yield _gaps(state)
         return
-    for kid in children(node):
+    for kid in _children(state, W - 1):
         yield from _leaves(kid, depth - 1)
 
 
 def test_iter_semigroups_in_children_order():
-    for g in range(11):
-        assert [S.gaps() for S in iter_semigroups(g)] == list(_leaves(root(), g))
-
-
-def test_visitor_called_once_per_semigroup():
-    records = []
-    agg = enumerate_genus(6, visitor=records.append)
-    assert len(records) == 23
-    assert agg.count == 23
-    assert sum(r.embedding_dim for r in records) == agg.moments["e"]
+    series = list(_series(12))
+    for g in range(13):
+        want = list(_leaves(_root(W), g))
+        assert [S.gaps() for S in iter_semigroups(g)] == want, g
+        assert [_gaps(s) for s in series if s[8] == g] == want, g
 
 
 def test_fibonacci_like_growth():
@@ -248,6 +238,13 @@ def test_series_edge_cases(monkeypatch):
     assert _series_bytes([0, 1], threads=2) == {
         g: enumerate_genus(g).canonical_bytes() for g in (0, 1)
     }
+
+
+def test_genus_24_aggregate_digest():
+    # The statistics path's bytes at genus 24, pinned: any change to the walk,
+    # the kernel or the accumulator that moves one count moves this digest.
+    digest = hashlib.sha256(enumerate_genus(24).canonical_bytes()).hexdigest()
+    assert digest == "72c38a053983e9ed610f49a8bc5393a99f6259c64d72c218d3e152a99f2bfca7"
 
 
 def test_parallel_counts_match_at_default_split_depth():
