@@ -20,8 +20,8 @@ import warnings
 from fractions import Fraction
 
 from . import __version__, stats, tree
-from .bijections import zhai_partial_sum
-from .errors import CorruptCache, NumsemError
+from .bijections import MAX_TRUNCATION, zhai_partial_sum
+from .errors import CorruptCache, MissingEpsilon, NumsemError, TruncationTooLarge
 from .kunzcount import count_embedding_deficit, count_multiplicity_deficit
 from .stats import GenusAggregate
 from .tree import count_genus
@@ -263,12 +263,16 @@ def _cmd_count(args):
 
 
 def _cmd_zhai(args):
+    if args.kmax > MAX_TRUNCATION:  # checked before any line is printed
+        raise TruncationTooLarge(f"K={args.kmax} exceeds the guard {MAX_TRUNCATION}")
     for K in range(args.kmax + 1):
         print(f"K={K} partial_sum={zhai_partial_sum(K):.12g}")
     return 0
 
 
 def _cmd_prob(args):
+    if args.eps is None and args.predicate in stats.BAND_PREDICATES:
+        raise MissingEpsilon(f"{args.predicate} needs --eps")
     agg = _get_aggregate(args.genus, args.threads, args.cache_dir)
     if args.member is not None:
         p = stats.membership_probability(agg, args.member)

@@ -48,6 +48,10 @@ class UnknownPredicate(NumsemError):
     """The proportion query names a predicate that is not tracked."""
 
 
+class MissingEpsilon(NumsemError):
+    """A band predicate was given without its half-width epsilon."""
+
+
 class UnknownInvariant(NumsemError):
     """The moment query names an invariant that is not tracked."""
 

@@ -166,6 +166,8 @@ def count_multiplicity_deficit(g, k):
 def count_embedding_deficit(g, l):
     """#{S of genus g with e(S) = g - l}; proven exact for g >= 4l+3
     (a second published threshold is g >= (9l+7)/2; both are surfaced)."""
+    if l > MAX_K:
+        raise LTooLarge(f"l={l} exceeds the guard {MAX_K}")
     if 2 * g < 9 * l + 7 or g < 4 * l + 3:
         warnings.warn(
             f"g={g} is below a proven threshold (4l+3={4 * l + 3}, "

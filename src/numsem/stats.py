@@ -12,11 +12,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .core import _bit_positions, _leaf, _windows
 from .errors import (
     GenusMismatch,
     MissingAggregate,
+    MissingEpsilon,
     NoSecondMoment,
     UndefinedAtBreakpoint,
     UnknownInvariant,
@@ -32,6 +34,8 @@ K_MAX = 10  # F - 2m classes tracked individually; larger go to one overflow buc
 
 _MOMENT_KEYS = ("e", "e1", "e2", "t", "t1", "t2", "w", "alpha", "w2", "alpha2")
 _HIST_KEYS = ("m", "F", "e", "e1", "e2", "t", "t1", "t2", "w", "fdiff")
+_OWN_HIST_KEYS = ("e", "e1", "e2", "w")  # the histograms an Accumulator keeps as such
+BAND_PREDICATES = ("e_band", "t_band", "w_band", "m_band", "fdiff_band")
 
 
 def f1(x):
@@ -163,7 +167,7 @@ def proportion(agg, predicate):
 
     ``predicate`` is either a counter name ("e_ge_m_half", "e_ge_m_third",
     "symmetric", "f_lt_2m") or a pair (band_name, epsilon) with band_name in
-    {"e_band", "t_band", "w_band", "m_band", "fdiff_band"}.
+    ``BAND_PREDICATES``; a band name alone raises MissingEpsilon.
     """
     g = agg.genus
     if agg.count == 0:
@@ -171,6 +175,8 @@ def proportion(agg, predicate):
     if isinstance(predicate, str):
         if predicate in ("e_ge_m_half", "e_ge_m_third", "symmetric", "f_lt_2m"):
             return Fraction(agg.counters[predicate], agg.count)
+        if predicate in BAND_PREDICATES:
+            raise MissingEpsilon(f"{predicate} needs an epsilon")
         raise UnknownPredicate(predicate)
     name, eps = predicate
     if name == "e_band":
@@ -250,14 +256,18 @@ def figure_data(figure_id, aggregates, g_range, epsilons=None):
     return rows
 
 
+_own_hists = itemgetter(*_OWN_HIST_KEYS)
+_BYTE_OFFSETS = range(0, 256 * 12, 256)  # of gap bytes 0 .. 11, below 96 > 2 * tree.MAX_GENUS
+
+
 class Accumulator:
     """Mutable statistics sink of one task; finalize() yields a GenusAggregate.
 
-    add_leaf only counts (histograms, two counters, gap bytes per offset,
-    gap sets among the decile points) and finalize derives the rest, so a
-    parallel run folds its tasks' accumulators with merge_in and finalizes
-    once.  The counts do not depend on ``capacity``, the walk's mask width.
-    Not thread-safe; each task owns one.
+    add_leaf only counts (joint counts and histograms, two counters, gap
+    bytes per offset, gap sets among the decile points) and finalize derives
+    the rest, so a parallel run folds its tasks' accumulators with merge_in
+    and finalizes once.  The counts do not depend on ``capacity``, the walk's
+    mask width.  Not thread-safe; each task owns one.
     """
 
     def __init__(self, genus, capacity):
@@ -265,11 +275,21 @@ class Accumulator:
         self.genus = g
         self.count = 0
         sizes = _hist_sizes(g)
-        self.hist = {k: [0] * sizes[k] for k in _HIST_KEYS}
+        # Histograms of e, e1, e2 and w; the joint counts of (t, t1) at
+        # t * tk + t1 and of (m, F) at m * fk + F + 1, from which finalize
+        # reads the histograms of t, t1, t2, m, F and F - 2m.
+        self.hist = {k: [0] * sizes[k] for k in _OWN_HIST_KEYS}
+        self._tk = sizes["t"]
+        self._fk = sizes["F"]
+        self.t_t1 = [0] * (self._tk * self._tk)
+        self.m_F = [0] * (sizes["m"] * self._fk)
         self.c_e_half = 0
         self.c_e_third = 0
-        # gap_bytes[256 * j + b]: leaves whose gaps in [8j, 8j + 8) are the
-        # bits of b; every gap is below 2g.
+        # gap_bytes[256 * j + b]: a weight on the bit pattern b of the gaps
+        # in [8j, 8j + 8); each leaf's gaps below F are spread over such
+        # patterns, so only the weighted bit sums, the gap counts per
+        # position, mean anything.  F itself is read from the (m, F) counts.
+        # Every gap is below 2g.
         self.gap_bytes = [0] * (256 * ((2 * g + 7) // 8))
         self.pairs = decile_pairs(g)
         self._decile_mask = sum(1 << n for n in {n for p in self.pairs for n in p})
@@ -284,22 +304,18 @@ class Accumulator:
         e1, t1 = _windows(mask, m, F)
         w = alpha - g * (g + 1) // 2
         self.count += 1
+        self.t_t1[t * self._tk + t1] += 1
+        self.m_F[m * self._fk + F + 1] += 1
         h = self.hist
-        h["m"][m] += 1
-        h["F"][F + 1] += 1
         h["e"][e] += 1
         h["e1"][e1] += 1
         h["e2"][e - e1] += 1
-        h["t"][t] += 1
-        h["t1"][t1] += 1
-        h["t2"][t - t1] += 1
         h["w"][w] += 1
-        h["fdiff"][F - 2 * m + g + 2] += 1
         if 2 * e >= m:
             self.c_e_half += 1
         if 3 * e >= m:
             self.c_e_third += 1
-        gaps = ~mask & ((1 << (F + 1)) - 1)
+        gaps = ~mask & (((1 << (F + 1)) - 1) >> 1)  # below F
         gb = self.gap_bytes
         j = 0
         while gaps:
@@ -309,22 +325,118 @@ class Accumulator:
         key = ~mask & self._decile_mask
         self.decile_gaps[key] = self.decile_gaps.get(key, 0) + 1
 
+    def _add_children(self, state, top):
+        """``_add`` of every child of a tree kernel state one level above the
+        genus (the children of ``tree._children``), read from the parent
+        without building a child.
+
+        A child removes one effective generator y > F, so its gaps below its
+        Frobenius number y are the parent's gaps, whose bytes count once per
+        child, and its decile key gains y only when y is a decile point.
+        Except for the ordinary child (y = m, through ``_add``), m stays,
+        F = y, w gains y, e loses one when y + m = a + b and e1 loses one when
+        y < 2m.
+        """
+        mask, rev, m, F, eff, e, pf, alpha, _ = state
+        if eff >> m & 1:  # S is ordinary; its first child is O_{m+1}
+            t = 1 + (pf & ~(rev >> (top - m))).bit_count()
+            self._add(mask ^ 1 << m, m + 1, m, m + 1, t, alpha + m)
+            eff ^= 1 << m
+        if not eff:
+            return
+        g = self.genus
+        n = eff.bit_count()
+        self.count += n
+        gaps = ~mask & ((1 << (F + 1)) - 1)
+        gb = self.gap_bytes
+        for j, b in zip(_BYTE_OFFSETS, gaps.to_bytes((F + 8) >> 3, "little")):
+            gb[j + b] += n
+        # Per child, with b = y + 1 (the bit length of 1 << y): its PF is y
+        # and the p in PF(S) with y - p a gap of S, and its gaps in
+        # (y - m, y] are y and the parent's gaps above y - m, so with y left
+        # out of both counts, (t, t1) is counted at tb + t * tk + t1.  (m, F)
+        # is counted at mb + b and w at wb + b.  e falls by one when
+        # y + m = a + b in the child (_children's test), which needs m < a < y.
+        tt, mf = self.t_t1, self.m_F
+        he, he1, he2, hw = _own_hists(self.hist)
+        dg = self.decile_gaps
+        dmask = self._decile_mask
+        key = ~mask & dmask
+        e1 = (mask >> m & ((1 << m) - 1)).bit_count()
+        tk = self._tk
+        tb = tk + 1
+        mb = m * self._fk
+        wb = alpha - g * (g + 1) // 2 - 1
+        nrev = ~rev
+        rb = top + 1
+        rmb = rb - m
+        m2 = 2 << m
+        below = 1 << 2 * m  # y < 2m iff 1 << y < below
+        half = third = 0
+        x = eff
+        while x:
+            low = x & -x
+            x ^= low
+            b = low.bit_length()
+            t = (pf & (nrev >> (rb - b))).bit_count()
+            tt[tb + t * tk + (gaps >> (b - m)).bit_count()] += 1
+            mf[mb + b] += 1
+            hw[wb + b] += 1
+            ce = e - 1 if mask & (rev >> (rmb - b)) & (low - m2) else e
+            ce1 = e1 - 1 if low < below else e1
+            he[ce] += 1
+            he1[ce1] += 1
+            he2[ce - ce1] += 1
+            if 3 * ce >= m:
+                third += 1
+                if 2 * ce >= m:
+                    half += 1
+            k = key | low & dmask
+            dg[k] = dg.get(k, 0) + 1
+        self.c_e_half += half
+        self.c_e_third += third
+
     def merge_in(self, other):
         """Add the counts of another accumulator of the same genus."""
         if other.genus != self.genus:
             raise GenusMismatch(f"cannot merge genus {self.genus} with {other.genus}")
         self.count += other.count
-        for k in _HIST_KEYS:
+        for k in _OWN_HIST_KEYS:
             self.hist[k] = [x + y for x, y in zip(self.hist[k], other.hist[k])]
+        self.t_t1 = [x + y for x, y in zip(self.t_t1, other.t_t1)]
+        self.m_F = [x + y for x, y in zip(self.m_F, other.m_F)]
         self.c_e_half += other.c_e_half
         self.c_e_third += other.c_e_third
         self.gap_bytes = [x + y for x, y in zip(self.gap_bytes, other.gap_bytes)]
         for key, n in other.decile_gaps.items():
             self.decile_gaps[key] = self.decile_gaps.get(key, 0) + n
 
+    def _histograms(self):
+        """Every histogram of _HIST_KEYS, the joint counts read out."""
+        g = self.genus
+        sizes = _hist_sizes(g)
+        h = {k: [0] * sizes[k] for k in _HIST_KEYS}
+        for k in _OWN_HIST_KEYS:
+            h[k][:] = self.hist[k]
+        ht, ht1, ht2 = h["t"], h["t1"], h["t2"]
+        for i, n in enumerate(self.t_t1):
+            if n:
+                t, t1 = divmod(i, self._tk)
+                ht[t] += n
+                ht1[t1] += n
+                ht2[t - t1] += n
+        hm, hF, hfd = h["m"], h["F"], h["fdiff"]
+        for i, n in enumerate(self.m_F):
+            if n:
+                m, f = divmod(i, self._fk)  # f = F + 1
+                hm[m] += n
+                hF[f] += n
+                hfd[f - 2 * m + g + 1] += n
+        return h
+
     def finalize(self):
         g = self.genus
-        h = self.hist
+        h = self._histograms()
         # The first seven moments, e .. w, are sums over their histograms.
         moments = {k: sum(i * n for i, n in enumerate(h[k])) for k in _MOMENT_KEYS[:7]}
         shift = g * (g + 1) // 2  # alpha = w + shift
@@ -334,7 +446,7 @@ class Accumulator:
         fdiff = h["fdiff"]
         off = g + 2
         per_k = tuple((fdiff[off + 1 : off + K_MAX + 1] + [0] * K_MAX)[:K_MAX])
-        gap_count = [0] * (2 * g + 1)
+        gap_count = h["F"][1:] + [0]  # F, then the gaps below F
         for idx, n in enumerate(self.gap_bytes):
             if n:
                 for p in _bit_positions(idx & 255):

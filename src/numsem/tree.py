@@ -15,6 +15,9 @@ by Fromentin and Hivert's rule: the nodes of the last level but one are the
 effective generators of the level above, and ``_grandchildren`` reads each
 child's effective generators from its parent in one test, so the last level
 is counted from the level two above without building a state of either.
+Statistics stop one level early: every child is its parent plus one gap
+y > F (Bras-Amorós's tree), so ``Accumulator._add_children`` adds the last
+level from the level above without building a child.
 
 ``_series`` is the one walk: a depth-first pre-order walk with an explicit
 stack.  Counting, statistics (``series_accumulators``, and through it
@@ -158,16 +161,27 @@ def _count_job(args):
 
 def _series_job(genera, args):
     """{g: Accumulator} for each depth g in ``genera`` that the walk below one
-    task's roots (which share their depth) reaches; no other state is
-    accumulated."""
+    task's roots (which share their depth d) reaches; no other state is
+    accumulated.  ``target`` is the largest of ``genera``.
+
+    The walk stops at depth stop = max(d, target - 1).  When stop < target,
+    each state at stop adds its children to the genus-``target`` Accumulator
+    with ``_add_children``, which builds no child state.
+    """
     roots, target, width = args
+    top = width - 1
     base = roots[0][8]
+    stop = max(base, target - 1)
     accs = [Accumulator(g, width) if g in genera else None for g in range(base, target + 1)]
-    for state in _series(target, roots, width):
-        acc = accs[state[8] - base]
+    last = accs[-1]
+    for state in _series(stop, roots, width):
+        g = state[8]
+        acc = accs[g - base]
         if acc is not None:
             mask, _, m, F, _, e, pf, alpha, _ = state
             acc._add(mask, m, F, e, pf.bit_count(), alpha)
+        if g == stop < target:
+            last._add_children(state, top)
     return {acc.genus: acc for acc in accs if acc is not None}
 
 
@@ -266,11 +280,20 @@ def count_genus_series(gmax, threads=1, split_depth=None):
 
 
 def iter_semigroups(g):
-    """Yield every SemigroupSet of genus g (single-threaded, ascending-child order)."""
+    """Yield every SemigroupSet of genus g (single-threaded, ascending-child
+    order): the walk stops at depth g - 1 and yields each state's children,
+    its mask less one effective generator."""
     width = _width(g)
-    for state in _series(g, width=width):
-        if state[8] == g:
-            yield SemigroupSet(state[0], width)
+    if g == 0:
+        yield SemigroupSet(_root(width)[0], width)
+        return
+    for state in _series(g - 1, width=width):
+        if state[8] == g - 1:
+            mask, eff = state[0], state[4]
+            while eff:
+                low = eff & -eff
+                eff ^= low
+                yield SemigroupSet(mask ^ low, width)
 
 
 def enumerate_genus(g, threads=1, split_depth=None):

@@ -95,6 +95,22 @@ def test_zhai_subcommand(capsys):
     assert len(lines) == 3
 
 
+def test_zhai_over_the_guard_prints_nothing(capsys):
+    assert run(["zhai", "--kmax", "23"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: K=23 exceeds the guard 22\n"
+
+
+def test_band_predicate_without_eps_says_so(capsys):
+    assert run(["prob", "--genus", "5", "--predicate", "e_band"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: e_band needs --eps\n"
+    assert run(["prob", "--genus", "5", "--predicate", "nonsense"]) == 2
+    assert capsys.readouterr().err == "error: nonsense\n"
+
+
 def test_prob_subcommand(capsys):
     assert run(["prob", "--genus", "4", "--member", "3"]) == 0
     assert "2/7" in capsys.readouterr().out

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from numsem import kunzcount
 from numsem.core import invariants
 from numsem.errors import (
     BadAlphabet,
@@ -130,6 +131,15 @@ def test_H_polynomials_match_listed():
     assert H_polynomial(4).coeffs == (F(-2), F(-1, 2), F(1, 2))
     with pytest.raises(LTooLarge):
         H_polynomial(9)
+
+
+def test_embedding_deficit_over_the_guard_raises_at_once(monkeypatch):
+    def no_prefixes(k):
+        raise AssertionError(f"generate_Y({k}) called")
+
+    monkeypatch.setattr(kunzcount, "generate_Y", no_prefixes)
+    with pytest.raises(LTooLarge, match="l=100"):
+        count_embedding_deficit(5, 100)
 
 
 def test_H_degree_and_monic():

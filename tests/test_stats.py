@@ -6,6 +6,7 @@ import pytest
 from numsem.errors import (
     GenusMismatch,
     MissingAggregate,
+    MissingEpsilon,
     NoSecondMoment,
     UndefinedAtBreakpoint,
     UnknownInvariant,
@@ -94,6 +95,8 @@ def test_proportions(agg4):
         proportion(agg4, "nonsense")
     with pytest.raises(UnknownPredicate):
         proportion(agg4, ("nonsense", 0.1))
+    with pytest.raises(MissingEpsilon, match="e_band needs an epsilon"):
+        proportion(agg4, "e_band")
     p = proportion(agg4, ("e_band", 0.5))
     assert 0 <= p <= 1
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numsem import tree
 from numsem.core import SemigroupSet, minimal_generators, pseudo_frobenius
 from numsem.errors import GenusTooLarge
-from numsem.stats import merge
+from numsem.stats import Accumulator, merge
 from numsem.tree import (
     MAX_GENUS,
     EnumerationPlan,
@@ -144,6 +144,19 @@ def test_count_job_at_each_root_depth():
             for roots in {tuple(at_d), tuple(at_d[:1]), tuple(at_d[1::2])} - {()}:
                 want = _count_full_walk(roots, target, width)
                 assert _count_job((roots, target, width)) == want, (target, d, roots)
+
+
+def test_add_children_is_add_of_each_child():
+    # The batched add of the statistics walk's last level against the
+    # reference: _add of every child that _children builds.
+    width = _width(16)
+    top = width - 1
+    for state in _series(15, width=width):
+        batched, each = Accumulator(state[8] + 1, width), Accumulator(state[8] + 1, width)
+        batched._add_children(state, top)
+        for mask, _, m, F, _, e, pf, alpha, _ in _children(state, top):
+            each._add(mask, m, F, e, pf.bit_count(), alpha)
+        assert batched.finalize() == each.finalize(), _gaps(state)
 
 
 def test_iter_semigroups_is_lazy():
