@@ -24,6 +24,7 @@ __all__ = [
     "count_B",
     "count_C",
     "zhai_partial_sum",
+    "zhai_partial_sums",
 ]
 
 _SQRT5 = math.sqrt(5.0)
@@ -113,19 +114,27 @@ def count_C(m, k, A, g):
     return math.comb(n, r) if 0 <= r <= n else 0
 
 
+def zhai_partial_sums(K):
+    """[zhai_partial_sum(0), ..., zhai_partial_sum(K)] from one pass over
+    A_1 .. A_K."""
+    if K < 0:
+        raise ValueError("K must be nonnegative")
+    if K > MAX_TRUNCATION:
+        raise TruncationTooLarge(f"K={K} exceeds the guard {MAX_TRUNCATION}")
+    total = _PHI / _SQRT5
+    sums = [total]
+    for k in range(1, K + 1):
+        for A in generate_Ak(k):
+            exp = len(A.elements) - len(A.sumset_low()) - k - 1
+            total += _PHI**exp / _SQRT5
+        sums.append(total)
+    return sums
+
+
 def zhai_partial_sum(K):
     """Truncation at k=K of the series for the growth constant c.
 
     c = phi/sqrt5 + (1/sqrt5) * sum_{k>=1} sum_{A in A_k}
         phi^(|A| - |(A+A) cap [0,k]| - k - 1).
     """
-    if K < 0:
-        raise ValueError("K must be nonnegative")
-    if K > MAX_TRUNCATION:
-        raise TruncationTooLarge(f"K={K} exceeds the guard {MAX_TRUNCATION}")
-    total = _PHI / _SQRT5
-    for k in range(1, K + 1):
-        for A in generate_Ak(k):
-            exp = len(A.elements) - len(A.sumset_low()) - k - 1
-            total += _PHI**exp / _SQRT5
-    return total
+    return zhai_partial_sums(K)[-1]

@@ -20,8 +20,8 @@ import warnings
 from fractions import Fraction
 
 from . import __version__, stats, tree
-from .bijections import MAX_TRUNCATION, zhai_partial_sum
-from .errors import CorruptCache, MissingEpsilon, NumsemError, TruncationTooLarge
+from .bijections import zhai_partial_sums
+from .errors import CorruptCache, MissingEpsilon, NumsemError
 from .kunzcount import count_embedding_deficit, count_multiplicity_deficit
 from .stats import GenusAggregate
 from .tree import count_genus
@@ -76,9 +76,9 @@ def _cache_path(cache_dir, genus):
 
 
 def cache_put(cache_dir, agg, wall_time=0.0):
-    """Write ``agg`` to its genus's cache file, recording ``wall_time``: the
-    seconds its enumeration took, or, for the genera ``figures`` computes
-    together, the whole series walk's."""
+    """Write ``agg`` to its genus's cache file, recording ``wall_time``: every
+    command records the seconds of the series walk that computed it, shared
+    by all the genera that walk computed."""
     os.makedirs(cache_dir, exist_ok=True)
     payload = _to_strings(agg.to_dict())
     payload["version"] = str(CACHE_VERSION)
@@ -153,29 +153,37 @@ def enumerate_genus(genus, series):
     """The aggregate of ``genus``, finalized from ``series``, the Accumulators
     of a ``tree.series_accumulators`` walk that included it.
 
-    ``figures`` finishes each genus it computes with one call of this, so a
-    caller can see each genus finished (the benchmark's ``figures`` workload
-    ends a timed step after each call).
+    This is the finalize point of every aggregate the CLI computes: each
+    genus passes through one call of it, so a caller can see each genus
+    finished (the benchmark's ``figures`` workload ends a timed step after
+    each call).
     """
     return series[genus].finalize()
 
 
-def _get_aggregate(genus, threads, cache_dir):
-    agg = _cached(genus, cache_dir)
-    if agg is None:
+def _aggregates(genera, threads, cache_dir):
+    """{g: aggregate of genus g} for each g in ``genera``: every cached genus
+    is read, and the missing ones come from one ``tree.series_accumulators``
+    walk, finalized through ``enumerate_genus`` and cached with that walk's
+    time."""
+    aggs = {g: _cached(g, cache_dir) for g in genera}
+    missing = [g for g in genera if aggs[g] is None]
+    if missing:
         t0 = time.time()
-        agg = tree.enumerate_genus(genus, threads=threads)
-        if cache_dir:
-            cache_put(cache_dir, agg, time.time() - t0)
-    return agg
+        series = tree.series_accumulators(missing, threads=threads)
+        elapsed = time.time() - t0
+        for g in missing:
+            aggs[g] = enumerate_genus(g, series)
+            if cache_dir:
+                cache_put(cache_dir, aggs[g], elapsed)
+    return aggs
 
 
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_enumerate(args):
     if args.cache_dir:
-        agg = _get_aggregate(args.genus, args.threads, args.cache_dir)
-        n = agg.count
+        n = _aggregates([args.genus], args.threads, args.cache_dir)[args.genus].count
     else:
         n = count_genus(args.genus, threads=args.threads)
     print(f"g={args.genus} N={n}")
@@ -183,7 +191,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_stats(args):
-    agg = _get_aggregate(args.genus, args.threads, args.cache_dir)
+    agg = _aggregates([args.genus], args.threads, args.cache_dir)[args.genus]
     rows = {"genus": agg.genus, "count": agg.count}
     for name in ("e", "e1", "e2", "t", "t1", "t2", "w", "alpha"):
         rows[f"E[{name}]"] = stats.expectation(agg, name)
@@ -201,18 +209,7 @@ def _cmd_stats(args):
 
 def _cmd_figures(args):
     genera = range(1, args.gmax + 1)
-    aggs = {g: _cached(g, args.cache_dir) for g in genera}
-    missing = [g for g in genera if aggs[g] is None]
-    if missing:
-        # One walk and one pool for every missing genus, accumulating those
-        # genera only.
-        t0 = time.time()
-        series = tree.series_accumulators(missing, threads=args.threads)
-        elapsed = time.time() - t0
-        for g in missing:
-            aggs[g] = enumerate_genus(g, series)
-            if args.cache_dir:
-                cache_put(args.cache_dir, aggs[g], elapsed)
+    aggs = _aggregates(genera, args.threads, args.cache_dir)
     rows = stats.figure_data(args.figure, aggs, genera, args.eps)
     lines = []
     if args.figure in (1, 2, 3):
@@ -237,7 +234,7 @@ def _cmd_figures(args):
 def _cmd_verify(args):
     if args.suite == "membership":
         genus = args.genus if args.genus is not None else 30
-        agg = _get_aggregate(genus, args.threads, args.cache_dir)
+        agg = _aggregates([genus], args.threads, args.cache_dir)[genus]
         result = verify_membership(agg)
     else:
         result = run_suite(args.suite, args.gmax)
@@ -263,17 +260,17 @@ def _cmd_count(args):
 
 
 def _cmd_zhai(args):
-    if args.kmax > MAX_TRUNCATION:  # checked before any line is printed
-        raise TruncationTooLarge(f"K={args.kmax} exceeds the guard {MAX_TRUNCATION}")
-    for K in range(args.kmax + 1):
-        print(f"K={K} partial_sum={zhai_partial_sum(K):.12g}")
+    # Every sum is computed before the first line is printed, so a K over
+    # the guard prints nothing.
+    for K, total in enumerate(zhai_partial_sums(args.kmax)):
+        print(f"K={K} partial_sum={total:.12g}")
     return 0
 
 
 def _cmd_prob(args):
     if args.eps is None and args.predicate in stats.BAND_PREDICATES:
         raise MissingEpsilon(f"{args.predicate} needs --eps")
-    agg = _get_aggregate(args.genus, args.threads, args.cache_dir)
+    agg = _aggregates([args.genus], args.threads, args.cache_dir)[args.genus]
     if args.member is not None:
         p = stats.membership_probability(agg, args.member)
     elif args.pair is not None:
@@ -295,7 +292,7 @@ def _cmd_prob(args):
 
 
 def _genus(text):
-    """argparse type of every --genus and --gmax: a nonnegative int."""
+    """argparse type of every --genus, --gmax and --kmax: a nonnegative int."""
     try:
         n = int(text)
     except ValueError:
@@ -358,7 +355,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_count)
 
     p = sub.add_parser("zhai", help="partial sums of the growth-constant series")
-    p.add_argument("--kmax", type=int, default=20)
+    p.add_argument("--kmax", type=_genus, default=20)
     p.set_defaults(fn=_cmd_zhai)
 
     p = sub.add_parser("prob", help="exact probabilities from one aggregate")

@@ -25,7 +25,6 @@ from .polybounds import ExactPolynomial, binomial
 
 __all__ = [
     "PrefixTuple",
-    "RationalPolynomial",
     "abc_stats",
     "generate_Y",
     "count_fixed_prefix",
@@ -38,6 +37,11 @@ __all__ = [
 MAX_K = 8
 
 
+def _ones_sum_to(entries, i):
+    """Whether positions j and i - j (1-based) of ``entries`` both hold 1."""
+    return any(entries[j - 1] == 1 and entries[i - j - 1] == 1 for j in range(1, i // 2 + 1))
+
+
 def abc_stats(entries):
     """(a, b, c): counts of 2s, 3s, and forced 2s (those with a (1,1,2) pattern)."""
     entries = tuple(entries)
@@ -45,14 +49,7 @@ def abc_stats(entries):
         raise BadAlphabet(f"entries must lie in {{1,2,3}}: {entries}")
     a = sum(1 for x in entries if x == 2)
     b = sum(1 for x in entries if x == 3)
-    t = len(entries)
-    c = 0
-    for i in range(1, t + 1):
-        if entries[i - 1] == 2 and any(
-            entries[j - 1] == 1 and entries[i - j - 1] == 1
-            for j in range(1, i)
-        ):
-            c += 1
+    c = sum(1 for i, x in enumerate(entries, 1) if x == 2 and _ones_sum_to(entries, i))
     return (a, b, c)
 
 
@@ -76,16 +73,6 @@ class PrefixTuple:
         return cls(k, entries, a, b, c)
 
 
-def _no_113(entries):
-    t = len(entries)
-    for i3 in range(2, t + 1):
-        if entries[i3 - 1] == 3:
-            for i1 in range(1, i3 // 2 + 1):
-                if entries[i1 - 1] == 1 and entries[i3 - i1 - 1] == 1:
-                    return False
-    return True
-
-
 def generate_Y(k):
     """All of Y(k): {1,2,3}-tuples of length 2k+1 with no (1,1,3) pattern and
     a + 2b <= k + 1, in lexicographic order."""
@@ -104,15 +91,11 @@ def generate_Y(k):
         if pos == n:
             out.append(PrefixTuple.make(tuple(cur)))
             return
-        i3 = pos + 1
         for v in (1, 2, 3):
             a2, b2 = a + (v == 2), b + (v == 3)
             if a2 + 2 * b2 > k + 1:
                 continue
-            if v == 3 and any(
-                cur[i1 - 1] == 1 and cur[i3 - i1 - 1] == 1
-                for i1 in range(1, i3 // 2 + 1)
-            ):
+            if v == 3 and _ones_sum_to(cur, pos + 1):
                 continue
             cur.append(v)
             extend(a2, b2)
@@ -135,7 +118,7 @@ def count_fixed_prefix(g, k1, k2, prefix):
     p = prefix if isinstance(prefix, PrefixTuple) else PrefixTuple.make(prefix)
     if p.k != k1:
         raise PrefixConditionViolated(f"prefix length {len(p.entries)} != 2*{k1}+1")
-    if not _no_113(p.entries):
+    if any(x == 3 and _ones_sum_to(p.entries, i) for i, x in enumerate(p.entries, 1)):
         raise PrefixConditionViolated("prefix contains a (1,1,3) pattern")
     if p.a + 2 * p.b > k1 + 1:
         raise PrefixConditionViolated(f"a+2b = {p.a + 2 * p.b} > k1+1 = {k1 + 1}")
@@ -181,9 +164,6 @@ def count_embedding_deficit(g, l):
             if p.a + p.b - p.c == 2 * k + 1 - l:
                 total += _prefix_term(g, p)
     return total
-
-
-RationalPolynomial = ExactPolynomial  # the former name of the counting polynomials' class
 
 
 def _binom_poly(shift, d):

@@ -24,11 +24,13 @@ stack.  Counting, statistics (``series_accumulators``, and through it
 ``enumerate_genus``), ``iter_semigroups``, the split into tasks (``_tasks``)
 and every tree-walking verify suite read it.
 
-Parallel runs walk serially to ``split_depth`` and map the frontier subtrees
-onto worker processes (see ``_tasks``); the driver folds the tasks' results
-(level counts, or one Accumulator per requested genus, merged with
-``merge_in``) and finalizes once, so the GenusAggregate is byte-identical
-whatever the worker count.
+``_run`` is the one driver.  Parallel runs walk serially to ``split_depth``
+and map the frontier subtrees onto worker processes (see ``_tasks``); a
+serial run is the one-task case, the root's whole tree walked in-process
+with nothing kept.  Either way the driver folds the tasks' results (level
+counts, or one Accumulator per requested genus, merged with ``merge_in``)
+and finalizes once, so the GenusAggregate is byte-identical whatever the
+worker count.
 """
 
 from __future__ import annotations
@@ -242,17 +244,24 @@ def _tasks(width, depth, target, workers):
     return large + small + [(state,)], kept
 
 
-def _run_parallel(plan, width, job, fold):
-    """Call ``fold`` on the result of ``job`` for every task, from one process
-    pool, in the order the tasks complete, so ``fold`` must not depend on
-    that order (every job's fold is a sum); return the states that no task
-    holds (see ``_tasks``)."""
-    target = plan.target_genus
-    tasks, kept = _tasks(width, plan.split_depth, target, plan.worker_count)
+def _run(gmax, width, threads, split_depth, job, fold):
+    """Call ``fold`` on the result of ``job`` for every task of a walk down to
+    ``gmax``; return the states that no task holds (see ``_tasks``).
+
+    Without a plan (one worker, or genus 0) the run is one task, the root,
+    walked in this process, and no state is kept.  Otherwise the tasks run in
+    one process pool and are folded in the order they complete, so ``fold``
+    must not depend on that order (every job's fold is a sum).
+    """
+    plan = _plan(gmax, threads, split_depth)
+    if plan is None:
+        fold(job(((_root(width),), gmax, width)))
+        return ()
+    tasks, kept = _tasks(width, plan.split_depth, gmax, plan.worker_count)
     with ProcessPoolExecutor(max_workers=plan.worker_count) as pool:
         # as_completed lets go of each future it yields, so a result is held
         # only until it is folded.
-        for future in as_completed([pool.submit(job, (roots, target, width)) for roots in tasks]):
+        for future in as_completed([pool.submit(job, (roots, gmax, width)) for roots in tasks]):
             fold(future.result())
     return kept
 
@@ -265,16 +274,13 @@ def count_genus(g, threads=1, split_depth=None):
 def count_genus_series(gmax, threads=1, split_depth=None):
     """[N(0), ..., N(gmax)] from a single tree walk."""
     width = _width(gmax)
-    plan = _plan(gmax, threads, split_depth)
-    if plan is None:
-        return _count_job(((_root(width),), gmax, width))
     levels = [0] * (gmax + 1)
 
     def fold(part):
         for d, n in enumerate(part):
             levels[d] += n
 
-    for state in _run_parallel(plan, width, _count_job, fold):
+    for state in _run(gmax, width, threads, split_depth, _count_job, fold):
         levels[state[8]] += 1
     return levels
 
@@ -312,17 +318,14 @@ def series_accumulators(genera, threads=1, split_depth=None):
     genera = frozenset(genera)
     gmax = max(genera)
     width = _width(gmax)
-    plan = _plan(gmax, threads, split_depth)
     job = partial(_series_job, genera)
-    if plan is None:
-        return job(((_root(width),), gmax, width))
     accs = {g: Accumulator(g, width) for g in sorted(genera)}
 
     def fold(parts):
         for g, part in parts.items():
             accs[g].merge_in(part)
 
-    for mask, _, m, F, _, e, pf, alpha, g in _run_parallel(plan, width, job, fold):
+    for mask, _, m, F, _, e, pf, alpha, g in _run(gmax, width, threads, split_depth, job, fold):
         if g in accs:
             accs[g]._add(mask, m, F, e, pf.bit_count(), alpha)
     return accs

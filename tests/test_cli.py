@@ -4,7 +4,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from numsem import cli, tree
+from numsem import bijections, cli, tree
 from numsem.cli import cache_get, cache_put, run
 from numsem.errors import CorruptCache
 from numsem.tree import enumerate_genus
@@ -28,6 +28,7 @@ def test_usage_error_exit_2(capsys):
         ["verify", "--suite", "core-invariants", "--gmax", "-1"],
         ["enumerate", "--genus", "-1"],
         ["stats", "--genus", "-1"],
+        ["zhai", "--kmax", "-1"],
     ],
 )
 def test_negative_genus_is_usage_error(capsys, argv):
@@ -93,6 +94,20 @@ def test_zhai_subcommand(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "K=0 partial_sum=0.72360679775"
     assert len(lines) == 3
+
+
+def test_zhai_walks_each_type_set_family_once(capsys, monkeypatch):
+    calls = []
+    generate = bijections.generate_Ak
+
+    def spy(k):
+        calls.append(k)
+        return generate(k)
+
+    monkeypatch.setattr(bijections, "generate_Ak", spy)
+    assert run(["zhai", "--kmax", "8"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 9
+    assert calls == list(range(1, 9))
 
 
 def test_zhai_over_the_guard_prints_nothing(capsys):
@@ -183,6 +198,38 @@ def test_figures_with_a_mixed_cache(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(tree, "enumerate_genus", no_walk)
     assert figures(tmp_path / "warm.csv", "--cache-dir", cache) == cold
     assert finished == [1, 3, 4, 5, 6]  # nothing computed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "--genus", "7"],
+        ["prob", "--genus", "7", "--member", "3"],
+        ["enumerate", "--genus", "7"],
+        ["verify", "--suite", "membership", "--genus", "7"],
+    ],
+)
+def test_every_aggregate_takes_the_cached_series_path(tmp_path, capsys, monkeypatch, argv):
+    walks, finished = [], []
+    series, per_genus = tree.series_accumulators, cli.enumerate_genus
+
+    def spy(genera, threads=1, split_depth=None):
+        walks.append(sorted(genera))
+        return series(genera, threads, split_depth)
+
+    def each(genus, series):
+        finished.append(genus)
+        return per_genus(genus, series)
+
+    monkeypatch.setattr(tree, "series_accumulators", spy)
+    monkeypatch.setattr(cli, "enumerate_genus", each)
+    argv = [*argv, "--cache-dir", str(tmp_path)]
+    code = run(argv)
+    cold = capsys.readouterr().out
+    assert (walks, finished) == ([[7]], [7])
+    assert run(argv) == code
+    assert capsys.readouterr().out == cold
+    assert (walks, finished) == ([[7]], [7])  # the warm run neither walks nor finalizes
 
 
 def test_figures_opens_one_pool(tmp_path, monkeypatch):

@@ -17,7 +17,6 @@ from numsem.kunz import kunz_of
 from numsem.kunzcount import (
     H_polynomial,
     PrefixTuple,
-    RationalPolynomial,
     abc_stats,
     count_embedding_deficit,
     count_fixed_prefix,
@@ -25,6 +24,7 @@ from numsem.kunzcount import (
     f_polynomial,
     generate_Y,
 )
+from numsem.polybounds import ExactPolynomial
 from numsem.tree import iter_semigroups
 
 Y1_EXPECTED = {
@@ -73,6 +73,8 @@ def test_count_fixed_prefix():
         count_fixed_prefix(10, 1, 3, (2, 3, 2))  # a + 2b = 4 > 2
     with pytest.raises(PrefixConditionViolated):
         count_fixed_prefix(10, 1, 1, (1, 1, 1))  # a+b-c != 2k1+1-k2
+    with pytest.raises(PrefixConditionViolated, match=r"\(1,1,3\) pattern"):
+        count_fixed_prefix(10, 1, 2, (1, 1, 3))
 
 
 def test_count_multiplicity_examples():
@@ -168,13 +170,11 @@ def test_f_polynomials():
 
 
 def test_rational_polynomial_eval():
-    p = RationalPolynomial((1, 2, 1))  # (1+x)^2
+    p = ExactPolynomial((1, 2, 1))  # (1+x)^2
     assert p(3) == 16
     assert (2 * p).coeffs == (2, 4, 2)
 
 
 def test_one_polynomial_class():
-    from numsem.polybounds import ExactPolynomial
-
-    assert RationalPolynomial is ExactPolynomial
+    assert not hasattr(kunzcount, "RationalPolynomial")
     assert type(H_polynomial(3)) is ExactPolynomial
