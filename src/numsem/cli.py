@@ -232,7 +232,12 @@ def _cmd_figures(args):
 
 
 def _cmd_verify(args):
-    if args.suite == "membership":
+    membership = args.suite == "membership"
+    if (args.gmax if membership else args.genus) is not None:
+        given, takes = ("--gmax", "--genus") if membership else ("--genus", "--gmax")
+        print(f"error: the {args.suite} suite takes {takes}, not {given}", file=sys.stderr)
+        return 2
+    if membership:
         genus = args.genus if args.genus is not None else 30
         agg = _aggregates([genus], args.threads, args.cache_dir)[genus]
         result = verify_membership(agg)

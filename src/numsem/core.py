@@ -92,11 +92,8 @@ def _bit_positions(mask):
 _BYTE_POSITION_SUM = tuple(sum(_bit_positions(b)) for b in range(256))
 
 
-def _leaf(mask, m, F):
-    """(e, t, alpha) from a membership mask, from scratch: the reference for
-    the state the tree kernel carries.  alpha sums the gaps a byte at a time.
-    """
-    gens_mask = _min_gens_mask(mask, m, F)
+def _gap_sum(mask, F):
+    """alpha, the sum of the gaps, a byte at a time."""
     gaps = ~mask & ((1 << (F + 1)) - 1)
     alpha = 0
     base = 0
@@ -105,7 +102,16 @@ def _leaf(mask, m, F):
         alpha += _BYTE_POSITION_SUM[b] + base * b.bit_count()
         gaps >>= 8
         base += 8
-    return gens_mask.bit_count(), _pf_mask(mask, m, F, gens_mask).bit_count(), alpha
+    return alpha
+
+
+def _leaf(mask, m, F):
+    """(e, t, alpha) from a membership mask, from scratch: the reference for
+    the state the tree kernel carries.
+    """
+    gens_mask = _min_gens_mask(mask, m, F)
+    return (gens_mask.bit_count(), _pf_mask(mask, m, F, gens_mask).bit_count(),
+            _gap_sum(mask, F))
 
 
 def _windows(mask, m, F):

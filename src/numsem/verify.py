@@ -11,7 +11,8 @@ from itertools import combinations
 
 from . import bijections as bj
 from . import kunz, kunzcount, polybounds, stats
-from .core import SemigroupSet, _windows, invariants, minimal_generators, pseudo_frobenius
+from .core import (SemigroupSet, _gap_sum, _min_gens_mask, _windows, minimal_generators,
+                   pseudo_frobenius)
 from .tree import _series, _width
 
 __all__ = ["VerifyResult", "SUITES", "run_suite"]
@@ -28,6 +29,12 @@ class VerifyResult:
 
     def __str__(self):
         return f"{self.suite}: {'ok' if self.ok else 'FAIL'} ({self.detail})"
+
+
+def _gap_mask(mask, F):
+    """The gaps of the semigroup with membership mask ``mask`` and Frobenius
+    number F, as a mask: the same integer in every width."""
+    return ~mask & ((1 << (F + 1)) - 1)
 
 
 def _fail(suite, g, msg, S):
@@ -52,17 +59,20 @@ def _first_failure(gmax, check):
 
 
 def _core_failure(S, state):
-    """The first identity or range S breaks, then the kernel state against it."""
+    """The first identity or range S breaks, then the kernel state against it,
+    from one from-scratch pass: one generator mask gives e, e1 and e2 (the
+    generators >= 2m); one ``pseudo_frobenius`` call gives t and t2 (the PF
+    below F - m + 1), each counted on its own, and the late gaps."""
     mask, g = state[0], state[8]
-    r = invariants(S)
     m, F = S.multiplicity, S.frobenius
-    gens = sum(1 << x for x in minimal_generators(S))
+    gens = _min_gens_mask(mask, m, F)
     pf = sum(1 << x for x in pseudo_frobenius(S))
-    if r.embedding_dim != r.e1 + r.e2:
+    e1, t1 = _windows(mask, m, F)
+    alpha = _gap_sum(mask, F)
+    if gens.bit_count() != e1 + (gens >> 2 * m).bit_count():
         return "e != e1+e2"
-    if r.type_t != r.t1 + r.t2:
-        return "t != t1+t2"
-    if r.weight != r.gap_sum - g * (g + 1) // 2:
+    w = alpha - S.genus * (S.genus + 1) // 2  # the weight of S's own gaps
+    if w != alpha - g * (g + 1) // 2:
         return "w != alpha - g(g+1)/2"
     if m > g + 1:
         return f"m={m} > g+1"
@@ -70,10 +80,13 @@ def _core_failure(S, state):
         return f"F={F} > 2g-1"
     if (mask & ~gens) >> m & ((1 << m) - 1):
         return "[m,2m-1] member not a generator"
-    if (~mask & ~pf & ((1 << (F + 1)) - 1)) << m >> (F + 1):
+    if (_gap_mask(mask, F) & ~pf) << m >> (F + 1):
         return "late gap not pseudo-Frobenius"
+    # Checked after the late gaps, which it would otherwise report as a t split.
+    if pf.bit_count() != t1 + (pf & ((1 << max(F + 1 - m, 0)) - 1)).bit_count():
+        return "t != t1+t2"
     eff = gens >> (F + 1) << (F + 1)
-    if state[2:] != (m, F, eff, gens.bit_count(), pf, r.gap_sum, S.genus):
+    if state[2:] != (m, F, eff, gens.bit_count(), pf, alpha, S.genus):
         return "kernel state != from-scratch"
 
 
@@ -119,7 +132,7 @@ def _family(m, F):
 
 
 def _C_images(g, m, k):
-    """All S_{m,A,B} images of genus g for this (m, k), as gap tuples."""
+    """All S_{m,A,B} images of genus g for this (m, k), as gap masks."""
     out = []
     for A in bj.generate_Ak(k):
         low = A.sumset_low()
@@ -129,28 +142,29 @@ def _C_images(g, m, k):
         if not 0 <= size <= len(avail):
             continue
         for B in combinations(avail, size):
-            out.append(bj.semigroup_from_AB(m, k, A, B).gaps())
+            S = bj.semigroup_from_AB(m, k, A, B)
+            out.append(_gap_mask(S.mask, S.frobenius))
     return out
 
 
 def verify_bijections(gmax=18):
-    """S_{m,B} images = {F < 2m} with the binomial count; S_{m,A,B} partitions C(k,g)."""
+    """S_{m,B} images = {F < 2m} with the binomial count; S_{m,A,B} partitions C(k,g).
+    Both sides are gap masks (``_gap_mask``): no gap tuple is built."""
     gmax_c = min(gmax, 15)
-    width = _width(gmax)
-    by_m = {}  # (g, m) -> the gap sets with F < 2m
-    targets = {}  # (g, k) -> the gap sets of C(k, g), checked after every B check
+    by_m = {}  # (g, m) -> the gap masks with F < 2m
+    targets = {}  # (g, k) -> the gap masks of C(k, g), checked after every B check
     for mask, _, m, F, *_, g in _series(gmax):
         k = _family(m, F)
         if k == 0:
-            by_m.setdefault((g, m), set()).add(SemigroupSet(mask, width).gaps())
+            by_m.setdefault((g, m), set()).add(_gap_mask(mask, F))
         elif k and g <= gmax_c:
-            targets.setdefault((g, k), set()).add(SemigroupSet(mask, width).gaps())
+            targets.setdefault((g, k), set()).add(_gap_mask(mask, F))
     for g in range(2, gmax + 1):
         for m in range(g // 2 + 1, g + 2):
             size = 2 * m - g - 2
             imgs = {
-                bj.semigroup_from_B(m, B).gaps()
-                for B in combinations(range(1, m), size)
+                _gap_mask(S.mask, S.frobenius)
+                for S in (bj.semigroup_from_B(m, B) for B in combinations(range(1, m), size))
             } if 0 <= size <= m - 1 else set()
             if len(imgs) != bj.count_B(g, m):
                 return VerifyResult(
@@ -272,8 +286,32 @@ def verify_t2_bounds(gmax=20):
 
 
 def _deficits(gmax, i):
-    """Counter of (g, g - state[i]) over the states of depth g <= gmax: i = 2 for m, 5 for e."""
-    return Counter((s[8], s[8] - s[i]) for s in _series(gmax))
+    """Counter of (g, g - state[i]) over the states of depth g <= gmax: i = 2
+    for m, 5 for e.  The walk stops at gmax - 1, in the width of a walk to
+    gmax; each state there tallies its children by ``_children``'s rules: the
+    ordinary child (removing y = m) has m + 1 and e = m + 1; any other child
+    keeps m, and has e - 1 when y + m = a + b with a, b in S - {y}, that is,
+    with m < a, b < y, and e otherwise."""
+    width = _width(gmax)
+    top = width - 1  # rev is in this width
+    by = Counter()
+    last = [0] * (gmax + 3)  # last[v]: the states of depth gmax with m or e = v
+    for mask, rev, m, _, eff, e, _, _, g in _series(gmax - 1, width=width):
+        v = m if i == 2 else e
+        by[g, g - v] += 1
+        if g == gmax - 1 and eff:
+            if eff >> m & 1:  # S is ordinary; its child removing m has m + 1 and e = m + 1
+                last[m + 1] += 1
+                eff ^= 1 << m
+            last[v] += eff.bit_count()
+            while i == 5 and eff:
+                low = eff & -eff
+                eff ^= low
+                if mask & (rev >> (top + 1 - low.bit_length() - m)) & (low - (2 << m)):
+                    last[v] -= 1
+                    last[v - 1] += 1
+    by.update({(gmax, gmax - v): n for v, n in enumerate(last) if n})
+    return by
 
 
 def verify_counting_m(gmax=22):

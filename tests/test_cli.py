@@ -44,6 +44,25 @@ def test_verify_suite_ok(capsys):
     assert "t2-equality" in out and "ok" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "membership", "--gmax", "5"],
+        ["verify", "--suite", "t2-equality", "--genus", "30"],
+    ],
+)
+def test_verify_rejects_the_other_suites_option(capsys, monkeypatch, argv):
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(cli, "run_suite", no_walk)
+    monkeypatch.setattr(cli, "_aggregates", no_walk)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_verify_membership_fails_at_small_genus(capsys):
     # the membership profile is a genus-30 criterion; at g=8 it must fail
     # and the failing n must be reported

@@ -1,0 +1,31 @@
+"""The verify suites' shortcuts against their plain definitions: the counting
+tally that stops one level early, and the e split of core-invariants' one
+from-scratch pass, which must be able to fail."""
+
+from collections import Counter
+
+import pytest
+
+from numsem import verify
+from numsem.tree import _series
+from numsem.verify import _deficits, run_suite
+
+
+@pytest.mark.parametrize("gmax", range(15))
+def test_deficits_tally_every_state(gmax):
+    for i in (2, 5):  # m, e
+        assert _deficits(gmax, i) == Counter((s[8], s[8] - s[i]) for s in _series(gmax))
+
+
+def test_core_invariants_checks_the_e_split(monkeypatch):
+    # The generator mask misses m, a member of [m, 2m), at genus 5 only.
+    real = verify._min_gens_mask
+
+    def wrong(mask, m, F):
+        gens = real(mask, m, F)
+        return gens & ~(1 << m) if verify._gap_mask(mask, F).bit_count() == 5 else gens
+
+    monkeypatch.setattr(verify, "_min_gens_mask", wrong)
+    assert str(run_suite("core-invariants", 10)) == (
+        "core-invariants: FAIL (g=5 S=gaps[1, 2, 3, 4, 5]: e != e1+e2)"
+    )
