@@ -18,6 +18,7 @@ import sys
 import time
 import warnings
 from fractions import Fraction
+from functools import partial
 
 from . import __version__, stats, tree
 from .bijections import zhai_partial_sums
@@ -296,14 +297,16 @@ def _cmd_prob(args):
     return 0
 
 
-def _genus(text):
-    """argparse type of every --genus, --gmax and --kmax: a nonnegative int."""
+def _int_arg(text, least=0):
+    """argparse type of an int >= ``least``: of every --genus, --gmax and
+    --kmax (nonnegative), and of every --threads (positive, least=1)."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, not {n}")
+    if n < least:
+        word = "positive" if least else "nonnegative"
+        raise argparse.ArgumentTypeError(f"must be {word}, not {n}")
     return n
 
 
@@ -317,10 +320,10 @@ def _floats(text):
 
 
 def _add_common(p, genus=False):
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=partial(_int_arg, least=1), default=1)
     p.add_argument("--cache-dir", default=None)
     if genus:
-        p.add_argument("--genus", type=_genus, required=True)
+        p.add_argument("--genus", type=_int_arg, required=True)
 
 
 def build_parser():
@@ -339,7 +342,7 @@ def build_parser():
     p = sub.add_parser("figures", help="emit CSV data for one figure family")
     _add_common(p)
     p.add_argument("--figure", type=int, choices=(1, 2, 3, 4, 5), required=True)
-    p.add_argument("--gmax", type=_genus, required=True)
+    p.add_argument("--gmax", type=_int_arg, required=True)
     p.add_argument("--eps", type=_floats, default=None, help="comma-separated epsilon list")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_figures)
@@ -349,18 +352,18 @@ def build_parser():
     p.add_argument(
         "--suite", required=True, choices=sorted(SUITES) + ["membership"]
     )
-    p.add_argument("--gmax", type=_genus, default=None)
-    p.add_argument("--genus", type=_genus, default=None, help="membership suite genus")
+    p.add_argument("--gmax", type=_int_arg, default=None)
+    p.add_argument("--genus", type=_int_arg, default=None, help="membership suite genus")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("count", help="closed-form deficit counts")
     p.add_argument("mode", choices=("multiplicity", "embedding"))
-    p.add_argument("--genus", type=_genus, required=True)
+    p.add_argument("--genus", type=_int_arg, required=True)
     p.add_argument("--deficit", type=int, required=True)
     p.set_defaults(fn=_cmd_count)
 
     p = sub.add_parser("zhai", help="partial sums of the growth-constant series")
-    p.add_argument("--kmax", type=_genus, default=20)
+    p.add_argument("--kmax", type=_int_arg, default=20)
     p.set_defaults(fn=_cmd_zhai)
 
     p = sub.add_parser("prob", help="exact probabilities from one aggregate")

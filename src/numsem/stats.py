@@ -335,7 +335,8 @@ class Accumulator:
         child, and its decile key gains y only when y is a decile point.
         Except for the ordinary child (y = m, through ``_add``), m stays,
         F = y, w gains y, e loses one when y + m = a + b and e1 loses one when
-        y < 2m.
+        y < 2m.  The e test is ``tree._drops``'s, restated per child: a call
+        of ``_drops`` per parent made the statistics walk slower.
         """
         mask, rev, m, F, eff, e, pf, alpha, _ = state
         if eff >> m & 1:  # S is ordinary; its first child is O_{m+1}
@@ -355,8 +356,7 @@ class Accumulator:
         # and the p in PF(S) with y - p a gap of S, and its gaps in
         # (y - m, y] are y and the parent's gaps above y - m, so with y left
         # out of both counts, (t, t1) is counted at tb + t * tk + t1.  (m, F)
-        # is counted at mb + b and w at wb + b.  e falls by one when
-        # y + m = a + b in the child (_children's test), which needs m < a < y.
+        # is counted at mb + b and w at wb + b.
         tt, mf = self.t_t1, self.m_F
         he, he1, he2, hw = _own_hists(self.hist)
         dg = self.decile_gaps

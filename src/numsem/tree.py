@@ -13,8 +13,9 @@ mask, the gap sum and the genus.  ``_children`` derives each child's state
 from its parent's in O(1) big-int steps.  Counting stops two levels early,
 by Fromentin and Hivert's rule: the nodes of the last level but one are the
 effective generators of the level above, and ``_grandchildren`` reads each
-child's effective generators from its parent in one test, so the last level
-is counted from the level two above without building a state of either.
+child's effective generators from its parent (``_drops`` marks the children
+that lose a generator, y + m = a + b), so the last level is counted from the
+level two above without building a state of either.
 Statistics stop one level early: every child is its parent plus one gap
 y > F (Bras-Amorós's tree), so ``Accumulator._add_children`` adds the last
 level from the level above without building a child.
@@ -100,28 +101,32 @@ def _children(state, top):
     return out
 
 
-def _grandchildren(state, top):
-    """The number of grandchildren: the children's effective generators, read
-    as ``_children`` derives them, without building a child.  The child
-    removing y keeps the k generators above y, plus y + m unless
-    y + m = a + b; an ordinary S's child removing m has m+1 .. 2m+1.
-    """
+def _drops(state, top):
+    """The mask of the effective generators y > m whose child (see
+    ``_children``) has e - 1: y + m = a + b with m < a, b < y."""
     mask, rev, m, _, eff, _, _, _, _ = state
-    k = eff.bit_count()
-    n = 0
+    eff &= -2 << m  # removing y = m gives the ordinary child
+    window = 2 << m
+    shift = top + 1 - m
+    out = 0
     while eff:
         low = eff & -eff
         eff ^= low
-        k -= 1
-        y = low.bit_length() - 1
-        ty = top - y
-        if y == m:
-            n += m + 1
-        elif (mask ^ low) & ((rev ^ (1 << ty)) >> (ty - m)) & ((1 << (y + m)) - 2):
-            n += k
-        else:
-            n += k + 1
-    return n
+        if mask & (rev >> (shift - low.bit_length())) & (low - window):
+            out |= low
+    return out
+
+
+def _grandchildren(state, top):
+    """The number of grandchildren: the children's effective generators, read
+    as ``_children`` derives them, without building a child.  The child
+    removing the i-th of the k effective generators keeps the k - i above
+    it, plus y + m unless it ``_drops``; an ordinary S's child removing m has
+    m+1 .. 2m+1, one more than that.
+    """
+    eff = state[4]
+    k = eff.bit_count()
+    return k * (k + 1) // 2 - _drops(state, top).bit_count() + (eff >> state[2] & 1)
 
 
 def _series(gmax, roots=None, width=None):
@@ -287,19 +292,11 @@ def count_genus_series(gmax, threads=1, split_depth=None):
 
 def iter_semigroups(g):
     """Yield every SemigroupSet of genus g (single-threaded, ascending-child
-    order): the walk stops at depth g - 1 and yields each state's children,
-    its mask less one effective generator."""
+    order): the depth-g states of one series walk."""
     width = _width(g)
-    if g == 0:
-        yield SemigroupSet(_root(width)[0], width)
-        return
-    for state in _series(g - 1, width=width):
-        if state[8] == g - 1:
-            mask, eff = state[0], state[4]
-            while eff:
-                low = eff & -eff
-                eff ^= low
-                yield SemigroupSet(mask ^ low, width)
+    for state in _series(g, width=width):
+        if state[8] == g:
+            yield SemigroupSet(state[0], width)
 
 
 def enumerate_genus(g, threads=1, split_depth=None):

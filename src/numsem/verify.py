@@ -11,9 +11,8 @@ from itertools import combinations
 
 from . import bijections as bj
 from . import kunz, kunzcount, polybounds, stats
-from .core import (SemigroupSet, _gap_sum, _min_gens_mask, _windows, minimal_generators,
-                   pseudo_frobenius)
-from .tree import _series, _width
+from .core import SemigroupSet, _gap_sum, _min_gens_mask, _pf_mask, _windows, minimal_generators
+from .tree import _drops, _series, _width
 
 __all__ = ["VerifyResult", "SUITES", "run_suite"]
 
@@ -61,17 +60,23 @@ def _first_failure(gmax, check):
 def _core_failure(S, state):
     """The first identity or range S breaks, then the kernel state against it,
     from one from-scratch pass: one generator mask gives e, e1 and e2 (the
-    generators >= 2m); one ``pseudo_frobenius`` call gives t and t2 (the PF
-    below F - m + 1), each counted on its own, and the late gaps."""
+    generators >= 2m) and the PF mask, which gives t, t2 (the PF below
+    F - m + 1), each counted on its own, and the late gaps; the weight is
+    counted from its definition and checked against the gap sum."""
     mask, g = state[0], state[8]
     m, F = S.multiplicity, S.frobenius
     gens = _min_gens_mask(mask, m, F)
-    pf = sum(1 << x for x in pseudo_frobenius(S))
+    pf = _pf_mask(mask, m, F, gens)
     e1, t1 = _windows(mask, m, F)
     alpha = _gap_sum(mask, F)
     if gens.bit_count() != e1 + (gens >> 2 * m).bit_count():
         return "e != e1+e2"
-    w = alpha - S.genus * (S.genus + 1) // 2  # the weight of S's own gaps
+    gaps = _gap_mask(mask, F)
+    w, x = 0, gaps
+    while x:  # w from its definition: each gap h adds the positive members below h
+        low = x & -x
+        x ^= low
+        w += (mask & (low - 2)).bit_count()
     if w != alpha - g * (g + 1) // 2:
         return "w != alpha - g(g+1)/2"
     if m > g + 1:
@@ -80,7 +85,7 @@ def _core_failure(S, state):
         return f"F={F} > 2g-1"
     if (mask & ~gens) >> m & ((1 << m) - 1):
         return "[m,2m-1] member not a generator"
-    if (_gap_mask(mask, F) & ~pf) << m >> (F + 1):
+    if (gaps & ~pf) << m >> (F + 1):
         return "late gap not pseudo-Frobenius"
     # Checked after the late gaps, which it would otherwise report as a t split.
     if pf.bit_count() != t1 + (pf & ((1 << max(F + 1 - m, 0)) - 1)).bit_count():
@@ -290,26 +295,20 @@ def _deficits(gmax, i):
     for m, 5 for e.  The walk stops at gmax - 1, in the width of a walk to
     gmax; each state there tallies its children by ``_children``'s rules: the
     ordinary child (removing y = m) has m + 1 and e = m + 1; any other child
-    keeps m, and has e - 1 when y + m = a + b with a, b in S - {y}, that is,
-    with m < a, b < y, and e otherwise."""
-    width = _width(gmax)
-    top = width - 1  # rev is in this width
+    keeps m, and has e - 1 when it ``_drops``, e otherwise."""
+    top = _width(gmax) - 1  # rev is in this width
     by = Counter()
     last = [0] * (gmax + 3)  # last[v]: the states of depth gmax with m or e = v
-    for mask, rev, m, _, eff, e, _, _, g in _series(gmax - 1, width=width):
-        v = m if i == 2 else e
+    for state in _series(gmax - 1, width=top + 1):
+        m, eff, g, v = state[2], state[4], state[8], state[i]
         by[g, g - v] += 1
         if g == gmax - 1 and eff:
             if eff >> m & 1:  # S is ordinary; its child removing m has m + 1 and e = m + 1
                 last[m + 1] += 1
                 eff ^= 1 << m
-            last[v] += eff.bit_count()
-            while i == 5 and eff:
-                low = eff & -eff
-                eff ^= low
-                if mask & (rev >> (top + 1 - low.bit_length() - m)) & (low - (2 << m)):
-                    last[v] -= 1
-                    last[v - 1] += 1
+            d = _drops(state, top).bit_count() if i == 5 else 0
+            last[v] += eff.bit_count() - d
+            last[v - 1] += d
     by.update({(gmax, gmax - v): n for v, n in enumerate(last) if n})
     return by
 

@@ -38,6 +38,20 @@ def test_negative_genus_is_usage_error(capsys, argv):
     assert "must be nonnegative" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--genus", "3", "--threads", "0"],
+        ["stats", "--genus", "3", "--threads", "-1"],
+    ],
+)
+def test_threads_below_one_is_usage_error(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --threads: must be positive" in captured.err
+
+
 def test_verify_suite_ok(capsys):
     assert run(["verify", "--suite", "t2-equality", "--gmax", "10"]) == 0
     out = capsys.readouterr().out

@@ -16,6 +16,7 @@ from numsem.tree import (
     EnumerationPlan,
     _children,
     _count_job,
+    _drops,
     _grandchildren,
     _root,
     _series,
@@ -124,6 +125,8 @@ def test_grandchildren_are_the_childrens_generators():
     for state in _series(14):
         kids = _children(state, top)
         assert _grandchildren(state, top) == sum(k[4].bit_count() for k in kids), state
+        drops = sum(1 << k[3] for k in kids if k[3] > state[2] and k[5] == state[5] - 1)
+        assert _drops(state, top) == drops, state
 
 
 def _count_full_walk(roots, target, width):

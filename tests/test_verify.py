@@ -30,10 +30,19 @@ def _zero(value, *args):
     return 0
 
 
+def _genus(mask, F):
+    return verify._gap_mask(mask, F).bit_count()
+
+
+def _drop_largest(pf, *args):
+    """A pseudo-Frobenius mask without its largest number, F."""
+    return pf ^ 1 << (pf.bit_length() - 1)
+
+
 INJECTED = [
     (
-        "core-invariants", verify, "pseudo_frobenius",
-        lambda S: S.genus == 9, lambda pf, S: pf[:-1],
+        "core-invariants", verify, "_pf_mask",
+        lambda mask, m, F, gens: _genus(mask, F) == 9, _drop_largest,
         "core-invariants: FAIL (g=9 S=gaps[1, 2, 3, 4, 5, 6, 7, 8, 9]: "
         "late gap not pseudo-Frobenius)",
     ),
@@ -95,15 +104,17 @@ INJECTED = [
     (
         # The walk meets the genus-9 failures before <2, 15>, the last
         # semigroup of genus 7; the smallest failing genus is reported.
-        "core-invariants", verify, "pseudo_frobenius",
-        lambda S: S.genus == 9 or (S.genus == 7 and S.multiplicity == 2),
-        lambda pf, S: pf[:-1],
+        "core-invariants", verify, "_pf_mask",
+        lambda mask, m, F, gens: _genus(mask, F) == 9 or (_genus(mask, F), m) == (7, 2),
+        _drop_largest,
         "core-invariants: FAIL (g=7 S=gaps[1, 3, 5, 7, 9, 11, 13]: "
         "late gap not pseudo-Frobenius)",
     ),
 ]
 
-INJECTED_IDS = [f"{s}-{n}" for s, _, n, *_ in INJECTED]
+# A row is named by its suite and the function it patches, except the PF
+# rows, which patch ``_pf_mask`` and are named by what they break.
+INJECTED_IDS = [f"{s}-{'pseudo_frobenius' if n == '_pf_mask' else n}" for s, _, n, *_ in INJECTED]
 # The last row patches what the first does; its own id keeps pytest from
 # renumbering both.
 INJECTED_IDS[-1] += "-smallest-genus-first"

@@ -1,6 +1,6 @@
 """The verify suites' shortcuts against their plain definitions: the counting
-tally that stops one level early, and the e split of core-invariants' one
-from-scratch pass, which must be able to fail."""
+tally that stops one level early, and the e split and the weight of
+core-invariants' one from-scratch pass, which must be able to fail."""
 
 from collections import Counter
 
@@ -28,4 +28,19 @@ def test_core_invariants_checks_the_e_split(monkeypatch):
     monkeypatch.setattr(verify, "_min_gens_mask", wrong)
     assert str(run_suite("core-invariants", 10)) == (
         "core-invariants: FAIL (g=5 S=gaps[1, 2, 3, 4, 5]: e != e1+e2)"
+    )
+
+
+def test_core_invariants_checks_the_weight(monkeypatch):
+    # The gap sum is one too large at genus 5 only; the weight counted from
+    # its definition no longer matches it.
+    real = verify._gap_sum
+
+    def wrong(mask, F):
+        alpha = real(mask, F)
+        return alpha + 1 if verify._gap_mask(mask, F).bit_count() == 5 else alpha
+
+    monkeypatch.setattr(verify, "_gap_sum", wrong)
+    assert str(run_suite("core-invariants", 10)) == (
+        "core-invariants: FAIL (g=5 S=gaps[1, 2, 3, 4, 5]: w != alpha - g(g+1)/2)"
     )
