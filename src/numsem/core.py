@@ -32,14 +32,15 @@ __all__ = [
 def _sums_mask(mask, m, F):
     """Bitmask of all sums of two positive members, valid on [0, F+m].
 
-    Only summands in [m, F] matter for positions up to F+m: any positive
-    member is >= m, so the partner of a summand > F would have to be < m.
+    Only the smaller summand a is iterated, over the members in
+    [m, (F+m)//2]: a sum s <= F+m has a <= s/2.  Positions above F+m may
+    miss sums.
     """
     if F < m:
         return 0
     pmask = mask & ~1
     sums = 0
-    sub = (mask >> m) & ((1 << (F - m + 1)) - 1)
+    sub = (mask >> m) & ((1 << ((F - m) // 2 + 1)) - 1)
     while sub:
         low = sub & -sub
         s = m + low.bit_length() - 1

@@ -116,10 +116,12 @@ def generators_from_kunz(kv):
 def enumerate_kunz_vectors(m, g):
     """All valid Kunz vectors with multiplicity m and coordinate sum g.
 
-    Backtracking: coordinates are placed left to right; every inequality whose
-    highest index is already placed is checked immediately, and the remaining
-    sum is bounded between (slots left) and (slots left) * (g - m + 2)-ish via
-    the trivial per-coordinate range [1, g].
+    Backtracking: coordinates are placed left to right, each value in
+    ascending order.  Every inequality whose indices are all placed bounds
+    the new coordinate x_i from one side, so its values form an interval:
+    family 1 (x_j + x_{i-j} >= x_i) from above, family 2 with i as a summand
+    (x_j + x_i + 1 >= x_{j+i-m}, j <= i) from below; the remaining sum, with
+    at least 1 for each coordinate left, caps it too.
     """
     if m == 1:
         return [KunzVector(1, ())] if g == 0 else []
@@ -137,30 +139,14 @@ def enumerate_kunz_vectors(m, g):
                 out.append(KunzVector(m, tuple(x)))
             return
         i = pos + 1
-        # upper bound for x_i from already-placed pairs j1 + j2 = i (family 1)
-        # is implicit; we just cap by the remaining budget.
-        hi = remaining - (slots_left - 1)
-        for v in range(1, hi + 1):
+        hi = min([remaining - (slots_left - 1)]
+                 + [x[j - 1] + x[i - j - 1] for j in range(1, i // 2 + 1)])
+        lo = max([1] + [x[j + i - m - 1] - x[j - 1] - 1 for j in range(m - i + 1, i)])
+        if 2 * i > m:  # j = i: 2 x_i + 1 >= x_{2i-m}
+            lo = max(lo, x[2 * i - m - 1] // 2)
+        for v in range(lo, hi + 1):
             x[pos] = v
-            ok = True
-            # family 1: pairs j1 + j2 = i with j1, j2 <= pos+1 placed
-            for j1 in range(1, i // 2 + 1):
-                j2 = i - j1
-                if j2 >= 1 and x[j1 - 1] + x[j2 - 1] < v:
-                    ok = False
-                    break
-            if ok:
-                # family 1 with i as a summand: x_i + x_j >= x_{i+j}, i+j <= pos+1
-                # cannot fire yet since i+j > i = pos+1.  family 2:
-                # x_j1 + x_j2 + 1 >= x_{j1+j2-m}; fires when j1+j2 = m + s with
-                # s <= i placed and max(j1, j2) = i.
-                for j1 in range(1, i + 1):
-                    s = j1 + i - m
-                    if 1 <= s <= i and x[j1 - 1] + v + 1 < x[s - 1]:
-                        ok = False
-                        break
-            if ok:
-                place(pos + 1, remaining - v)
+            place(pos + 1, remaining - v)
         x[pos] = 0
 
     place(0, g)

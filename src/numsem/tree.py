@@ -208,7 +208,9 @@ class EnumerationPlan:
 
 
 def _plan(g, threads, split_depth):
-    if g == 0 or threads is None or threads <= 1:
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be positive")
+    if g == 0 or threads is None or threads == 1:
         return None
     if split_depth is None:
         split_depth = min(DEFAULT_SPLIT_DEPTH, g - 1)

@@ -41,8 +41,9 @@ def _fail(suite, g, msg, S):
 
 
 def _first_failure(gmax, check):
-    """(g, message, S) of check(S, state)'s first failure at the smallest failing
-    genus of one series walk, or None; and the number of states at each depth."""
+    """(g, message, S) of check(state, width)'s first failure at the smallest
+    failing genus of one series walk, or None; and the number of states at each
+    depth.  S, the failing semigroup, is built only once check fails."""
     width = _width(gmax)
     seen = [0] * (gmax + 1)
     found = None
@@ -50,34 +51,56 @@ def _first_failure(gmax, check):
         g = state[8]
         seen[g] += 1
         if found is None or g < found[0]:
-            S = SemigroupSet(state[0], width)
-            msg = check(S, state)
+            msg = check(state, width)
             if msg:
-                found = (g, msg, S)
+                found = (g, msg, SemigroupSet(state[0], width))
     return found, seen
 
 
-def _core_failure(S, state):
-    """The first identity or range S breaks, then the kernel state against it,
-    from one from-scratch pass: one generator mask gives e, e1 and e2 (the
-    generators >= 2m) and the PF mask, which gives t, t2 (the PF below
-    F - m + 1), each counted on its own, and the late gaps; the weight is
-    counted from its definition and checked against the gap sum."""
-    mask, g = state[0], state[8]
-    m, F = S.multiplicity, S.frobenius
+# For each byte b of gaps (bit j set: a gap), the non-gaps below each gap of
+# b within the byte, summed.
+_BYTE_WEIGHT = tuple(
+    sum(j - (b & ((1 << j) - 1)).bit_count() for j in range(8) if b >> j & 1) for b in range(256)
+)
+
+
+def _weight(gaps):
+    """w from its definition, each gap h adding the positive members below h,
+    a byte at a time: a gap adds the members below its byte, counted as the
+    bytes go, plus those before it in its byte, from a table.  The count
+    starts at -1 so as to leave out 0, a member of the first byte."""
+    w, below = 0, -1
+    while gaps:
+        b = gaps & 255
+        n = b.bit_count()
+        w += _BYTE_WEIGHT[b] + below * n
+        below += 8 - n
+        gaps >>= 8
+    return w
+
+
+def _core_failure(state, width):
+    """The first identity or range the semigroup of ``state`` breaks, then
+    the kernel state against it, from one from-scratch pass over its mask,
+    read in ``width`` bits as a ``SemigroupSet`` of that capacity reads it:
+    m, F and g come from the mask alone, and no ``SemigroupSet`` is built;
+    one generator mask gives e, e1 and e2 (the generators >= 2m) and the PF
+    mask, which gives t, t2 (the PF below F - m + 1), each counted on its
+    own, and the late gaps; the weight is counted from its definition
+    (``_weight``) and checked against the gap sum.  Nothing else is read
+    from the kernel state before the last comparison."""
+    mask = state[0]
+    gaps = ~mask & ((1 << width) - 1)
+    F, g = gaps.bit_length() - 1, gaps.bit_count()
+    pos = mask & ~1
+    m = (pos & -pos).bit_length() - 1
     gens = _min_gens_mask(mask, m, F)
     pf = _pf_mask(mask, m, F, gens)
     e1, t1 = _windows(mask, m, F)
     alpha = _gap_sum(mask, F)
     if gens.bit_count() != e1 + (gens >> 2 * m).bit_count():
         return "e != e1+e2"
-    gaps = _gap_mask(mask, F)
-    w, x = 0, gaps
-    while x:  # w from its definition: each gap h adds the positive members below h
-        low = x & -x
-        x ^= low
-        w += (mask & (low - 2)).bit_count()
-    if w != alpha - g * (g + 1) // 2:
+    if _weight(gaps) != alpha - g * (g + 1) // 2:
         return "w != alpha - g(g+1)/2"
     if m > g + 1:
         return f"m={m} > g+1"
@@ -91,7 +114,7 @@ def _core_failure(S, state):
     if pf.bit_count() != t1 + (pf & ((1 << max(F + 1 - m, 0)) - 1)).bit_count():
         return "t != t1+t2"
     eff = gens >> (F + 1) << (F + 1)
-    if state[2:] != (m, F, eff, gens.bit_count(), pf, alpha, S.genus):
+    if state[2:] != (m, F, eff, gens.bit_count(), pf, alpha, g):
         return "kernel state != from-scratch"
 
 
@@ -103,7 +126,8 @@ def verify_core_invariants(gmax=20):
     return VerifyResult("core-invariants", True, f"{sum(seen)} semigroups, g<={gmax}")
 
 
-def _kunz_failure(S, state):
+def _kunz_failure(state, width):
+    S = SemigroupSet(state[0], width)
     kv = kunz.kunz_of(S)
     if not kunz.is_valid_kunz(kv.multiplicity, kv.coords):
         return f"invalid vector {kv}"
@@ -295,22 +319,24 @@ def _deficits(gmax, i):
     for m, 5 for e.  The walk stops at gmax - 1, in the width of a walk to
     gmax; each state there tallies its children by ``_children``'s rules: the
     ordinary child (removing y = m) has m + 1 and e = m + 1; any other child
-    keeps m, and has e - 1 when it ``_drops``, e otherwise."""
+    keeps m, and has e - 1 when it ``_drops``, e otherwise.  The tallies are
+    kept in lists, rows[g][v] the states of depth g with m or e = v, and
+    turned into the Counter once."""
     top = _width(gmax) - 1  # rev is in this width
-    by = Counter()
-    last = [0] * (gmax + 3)  # last[v]: the states of depth gmax with m or e = v
+    rows = [[0] * (gmax + 3) for _ in range(gmax + 1)]
+    last = rows[gmax]
     for state in _series(gmax - 1, width=top + 1):
-        m, eff, g, v = state[2], state[4], state[8], state[i]
-        by[g, g - v] += 1
-        if g == gmax - 1 and eff:
+        g, v = state[8], state[i]
+        rows[g][v] += 1
+        if g == gmax - 1 and state[4]:
+            m, eff = state[2], state[4]
             if eff >> m & 1:  # S is ordinary; its child removing m has m + 1 and e = m + 1
                 last[m + 1] += 1
                 eff ^= 1 << m
             d = _drops(state, top).bit_count() if i == 5 else 0
             last[v] += eff.bit_count() - d
             last[v - 1] += d
-    by.update({(gmax, gmax - v): n for v, n in enumerate(last) if n})
-    return by
+    return Counter({(g, g - v): n for g, row in enumerate(rows) for v, n in enumerate(row) if n})
 
 
 def verify_counting_m(gmax=22):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numsem.core import (
+    _sums_mask,
     apery,
     invariants,
     minimal_generators,
@@ -11,6 +12,7 @@ from numsem.core import (
     semigroup_from_generators,
 )
 from numsem.errors import InfiniteGenus, NotAMember, NotASemigroup
+from numsem.tree import _series
 
 
 def test_from_gaps_basic():
@@ -130,3 +132,13 @@ def test_gaps_roundtrip_or_witness(gaps):
     assert r.embedding_dim == r.e1 + r.e2
     assert r.type_t == r.t1 + r.t2
     assert r.weight == r.gap_sum - r.genus * (r.genus + 1) // 2
+
+
+def test_sums_mask_is_the_all_pairs_sumset():
+    # On [0, F+m], over every semigroup of genus <= 14.
+    for mask, _, m, F, *_ in _series(14):
+        top = F + m
+        members = [a for a in range(1, top + 1) if mask >> a & 1]
+        sums = {a + b for a in members for b in members if a + b <= top}
+        got = _sums_mask(mask, m, F) & ((1 << (top + 1)) - 1)
+        assert got == sum(1 << s for s in sums), (mask, m, F)

@@ -76,16 +76,18 @@ def test_oracle_matches_tree():
 
 
 def test_backtracker_agrees_with_filter():
-    # cross-check the pruned enumerator against a brute-force filter
-    from itertools import product
+    # The pruned enumerator gives the vectors of a brute-force filter of all
+    # compositions of g into m - 1 parts, in the same (lexicographic) order.
+    from itertools import combinations
 
-    for m, g in [(3, 7), (4, 7), (5, 8)]:
-        brute = {
-            KunzVector(m, c)
-            for c in product(range(1, g + 1), repeat=m - 1)
-            if sum(c) == g and is_valid_kunz(m, c)
-        }
-        assert set(enumerate_kunz_vectors(m, g)) == brute
+    for m in range(2, 10):
+        for g in range(10):
+            brute = []
+            for cuts in combinations(range(1, g), m - 2):
+                c = tuple(b - a for a, b in zip((0,) + cuts, cuts + (g,)))
+                if is_valid_kunz(m, c):
+                    brute.append(KunzVector(m, c))
+            assert enumerate_kunz_vectors(m, g) == brute, (m, g)
 
 
 @settings(max_examples=150, deadline=None)

@@ -299,3 +299,14 @@ def test_plan_validation():
         EnumerationPlan(5, 5, 2)
     with pytest.raises(ValueError):
         EnumerationPlan(5, 2, 0)
+
+
+def test_threads_below_one_are_rejected():
+    for threads in (0, -3):
+        for g in (0, 8):
+            with pytest.raises(ValueError):
+                count_genus(g, threads=threads)
+        with pytest.raises(ValueError):
+            enumerate_genus(6, threads=threads)
+    assert count_genus(8, threads=None) == count_genus(8, threads=1) == KNOWN[8]
+    assert enumerate_genus(6, threads=None) == enumerate_genus(6, threads=1)
