@@ -11,7 +11,6 @@ holding another genus, are quarantined and recomputed.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -21,14 +20,15 @@ from fractions import Fraction
 from functools import partial
 
 from . import __version__, stats, tree
-from .bijections import zhai_partial_sums
 from .errors import CorruptCache, MissingEpsilon, NumsemError
-from .kunzcount import count_embedding_deficit, count_multiplicity_deficit
 from .stats import GenusAggregate
 from .tree import count_genus
-from .verify import SUITES, run_suite, verify_membership
 
 CACHE_VERSION = 1
+
+# sorted(verify.SUITES), so that the parser is built without importing verify.
+SUITE_NAMES = ("bijections", "core-invariants", "counting-e", "counting-m",
+               "e2-bounds", "kunz-roundtrip", "t2-bounds", "t2-equality")
 
 
 def _fmt(x):
@@ -68,6 +68,7 @@ def _from_strings(obj):
 
 
 def _checksum(payload):
+    import hashlib
     body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(body).hexdigest()
 
@@ -232,6 +233,12 @@ def _cmd_figures(args):
     return 0
 
 
+def run_suite(name, gmax=None):
+    """``verify.run_suite``, imported only when a suite runs."""
+    from .verify import run_suite
+    return run_suite(name, gmax)
+
+
 def _cmd_verify(args):
     membership = args.suite == "membership"
     if (args.gmax if membership else args.genus) is not None:
@@ -239,6 +246,7 @@ def _cmd_verify(args):
         print(f"error: the {args.suite} suite takes {takes}, not {given}", file=sys.stderr)
         return 2
     if membership:
+        from .verify import verify_membership
         genus = args.genus if args.genus is not None else 30
         agg = _aggregates([genus], args.threads, args.cache_dir)[genus]
         result = verify_membership(agg)
@@ -253,6 +261,7 @@ def _cmd_count(args):
         print(f"error: a multiplicity deficit must be at least -1, not {args.deficit}",
               file=sys.stderr)
         return 2
+    from .kunzcount import count_embedding_deficit, count_multiplicity_deficit
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if args.mode == "multiplicity":
@@ -268,6 +277,7 @@ def _cmd_count(args):
 def _cmd_zhai(args):
     # Every sum is computed before the first line is printed, so a K over
     # the guard prints nothing.
+    from .bijections import zhai_partial_sums
     for K, total in enumerate(zhai_partial_sums(args.kmax)):
         print(f"K={K} partial_sum={total:.12g}")
     return 0
@@ -349,9 +359,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification suite")
     _add_common(p)
-    p.add_argument(
-        "--suite", required=True, choices=sorted(SUITES) + ["membership"]
-    )
+    p.add_argument("--suite", required=True, choices=SUITE_NAMES + ("membership",))
     p.add_argument("--gmax", type=_int_arg, default=None)
     p.add_argument("--genus", type=_int_arg, default=None, help="membership suite genus")
     p.set_defaults(fn=_cmd_verify)

@@ -31,12 +31,11 @@ serial run is the one-task case, the root's whole tree walked in-process
 with nothing kept.  Either way the driver folds the tasks' results (level
 counts, or one Accumulator per requested genus, merged with ``merge_in``)
 and finalizes once, so the GenusAggregate is byte-identical whatever the
-worker count.
+worker count.  The first parallel run imports ``concurrent.futures``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from functools import partial
 
@@ -46,6 +45,7 @@ from .stats import Accumulator
 
 MAX_GENUS = 45
 DEFAULT_SPLIT_DEPTH = 14
+ProcessPoolExecutor = None  # filled in by the first parallel run (see _run)
 
 __all__ = [
     "EnumerationPlan",
@@ -258,12 +258,16 @@ def _run(gmax, width, threads, split_depth, job, fold):
     Without a plan (one worker, or genus 0) the run is one task, the root,
     walked in this process, and no state is kept.  Otherwise the tasks run in
     one process pool and are folded in the order they complete, so ``fold``
-    must not depend on that order (every job's fold is a sum).
+    must not depend on that order (every job's fold is a sum).  The pool
+    module is imported by the first parallel run, never by a serial one.
     """
+    global ProcessPoolExecutor
     plan = _plan(gmax, threads, split_depth)
     if plan is None:
         fold(job(((_root(width),), gmax, width)))
         return ()
+    from concurrent.futures import ProcessPoolExecutor as pool_class, as_completed
+    ProcessPoolExecutor = ProcessPoolExecutor or pool_class  # keeps a patched class
     tasks, kept = _tasks(width, plan.split_depth, gmax, plan.worker_count)
     with ProcessPoolExecutor(max_workers=plan.worker_count) as pool:
         # as_completed lets go of each future it yields, so a result is held

@@ -2,6 +2,7 @@
 pass/fail line) each.  The expensive genus-30 aggregate is built once and
 shared; run with `pytest -s tests/test_acceptance.py` to watch the lines."""
 
+import hashlib
 import math
 import os
 import time
@@ -9,10 +10,12 @@ import time
 import pytest
 
 from numsem import stats
-from numsem.bijections import zhai_partial_sum
-from numsem.kunz import count_by_kunz
+from numsem.bijections import count_B, count_C, generate_Ak, zhai_partial_sum
+from numsem.kunz import count_by_kunz, enumerate_kunz_vectors
+from numsem.kunzcount import count_embedding_deficit, count_multiplicity_deficit
 from numsem.tree import count_genus_series, enumerate_genus
 from numsem.verify import (
+    KMAX,
     run_suite,
     verify_membership,
 )
@@ -179,6 +182,32 @@ def test_growth_series_is_a007323(series30):
         467224, 770832, 1270267, 2091030, 3437839, 5646773,
     ]
     assert series30 == a007323
+
+
+# sha256 of enumerate_genus(30).canonical_bytes(), at any worker count.
+GENUS_30_SHA256 = "ff6ef2190ad2a91dfc8f28fef9eca904d57d533b9700967f8f2df8b8f9ca521f"
+
+
+def test_genus_30_aggregate_against_closed_forms(agg30, agg15, series30):
+    # The statistics walk at genus 30 (and 15) checked against what no walk
+    # computes: the paper's deficit counts for m = g - k and e = g - l, the
+    # F < 2m and F = 2m + k parametrizations, the Kunz oracle's count per
+    # multiplicity, and the count path's N(g).
+    for agg in (agg30, agg15):
+        g = agg.genus
+        assert agg.count == series30[g]
+        for k in range(-1, (g - 3) // 4 + 1):  # g >= 4k + 3
+            assert agg.hist["m"][g - k] == count_multiplicity_deficit(g, k), (g, k)
+        for l in range(-1, (2 * g - 7) // 9 + 1):  # 2g >= 9l + 7, so g >= 4l + 3
+            assert agg.hist["e"][g - l] == count_embedding_deficit(g, l), (g, l)
+        assert agg.counters["f_lt_2m"] == sum(count_B(g, m) for m in range(1, g + 2))
+        for k in range(1, KMAX + 1):
+            want = sum(count_C(m, k, A, g) for m in range(k + 1, g + 2) for A in generate_Ak(k))
+            assert agg.counters["f_minus_2m"][k - 1] == want, (g, k)
+    assert agg30.counters["f_lt_2m"] == 1346269  # the Fibonacci number F(31)
+    for m in range(2, 11):
+        assert agg30.hist["m"][m] == len(enumerate_kunz_vectors(m, 30)), m
+    assert hashlib.sha256(agg30.canonical_bytes()).hexdigest() == GENUS_30_SHA256
 
 
 def test_criterion_11_determinism():

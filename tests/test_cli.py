@@ -1,10 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from numsem import bijections, cli, tree
+from numsem import bijections, cli, tree, verify
 from numsem.cli import cache_get, cache_put, run
 from numsem.errors import CorruptCache
 from numsem.tree import enumerate_genus
@@ -355,3 +357,100 @@ def test_cache_used_by_stats(tmp_path, capsys):
     # second run hits the cache and produces identical output
     assert run(["stats", "--genus", "6", "--cache-dir", str(tmp_path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == data
+
+
+# Loaded only by the commands that run them: the verify suites, the closed
+# forms and their oracles, the process pool, and the cache checksum.
+LAZY = ("concurrent.futures", "numsem.verify", "numsem.kunz", "numsem.kunzcount",
+        "numsem.bijections", "numsem.polybounds", "hashlib")
+
+_IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import numsem, numsem.cli
+loaded = {"import": sorted(set(sys.modules) - before)}
+numsem.cli.run(["stats", "--genus", "8"])
+loaded["stats"] = sorted(set(sys.modules) - before)
+from numsem import tree
+tree.count_genus(8, threads=2)
+import concurrent.futures
+loaded["pool"] = tree.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+print(json.dumps(loaded))
+"""
+
+
+def test_import_loads_only_what_a_command_runs():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    loaded = json.loads(res.stdout.splitlines()[-1])
+    assert not set(LAZY) & set(loaded["import"])
+    assert not set(LAZY[:-1]) & set(loaded["stats"])  # stats writes no cache here
+    assert loaded["pool"]  # the first parallel run fills in the pool class
+
+
+# The help and usage-error output of the verify parser, as printed before its
+# --suite choices were written out in cli.
+HELP = """\
+usage: numsem [-h] {enumerate,stats,figures,verify,count,zhai,prob} ...
+
+positional arguments:
+  {enumerate,stats,figures,verify,count,zhai,prob}
+    enumerate           count semigroups of one genus
+    stats               exact summary statistics for one genus
+    figures             emit CSV data for one figure family
+    verify              run a verification suite
+    count               closed-form deficit counts
+    zhai                partial sums of the growth-constant series
+    prob                exact probabilities from one aggregate
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+VERIFY_USAGE = """\
+usage: numsem verify [-h] [--threads THREADS] [--cache-dir CACHE_DIR] --suite
+                     {bijections,core-invariants,counting-e,counting-m,e2-bounds,kunz-roundtrip,t2-bounds,t2-equality,membership}
+                     [--gmax GMAX] [--genus GENUS]
+"""
+
+VERIFY_HELP = VERIFY_USAGE + """\
+
+options:
+  -h, --help            show this help message and exit
+  --threads THREADS
+  --cache-dir CACHE_DIR
+  --suite {bijections,core-invariants,counting-e,counting-m,e2-bounds,kunz-roundtrip,t2-bounds,t2-equality,membership}
+  --gmax GMAX
+  --genus GENUS         membership suite genus
+"""
+
+VERIFY_NOSUCH = VERIFY_USAGE + (
+    "numsem verify: error: argument --suite: invalid choice: 'nosuch' (choose from "
+    "'bijections', 'core-invariants', 'counting-e', 'counting-m', 'e2-bounds', "
+    "'kunz-roundtrip', 't2-bounds', 't2-equality', 'membership')\n"
+)
+
+
+def test_suite_choices_are_verify_suites():
+    assert list(cli.SUITE_NAMES) == sorted(verify.SUITES)
+    (action,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    (suite,) = [a for a in action.choices["verify"]._actions if a.dest == "suite"]
+    assert list(suite.choices) == sorted(verify.SUITES) + ["membership"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["--help"], 0, HELP, ""),
+        (["verify", "--help"], 0, VERIFY_HELP, ""),
+        (["verify", "--suite", "nosuch"], 2, "", VERIFY_NOSUCH),
+    ],
+)
+def test_help_and_usage_errors_unchanged(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    assert run(argv) == code
+    assert capsys.readouterr() == (out, err)
