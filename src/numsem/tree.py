@@ -10,12 +10,11 @@ state is ``(mask, rev, m, F, eff, e, pf, alpha, g)``: the membership mask
 and its bit reversal in one width W, m, F, the effective generators (the
 minimal generators above F) as a mask, e, the pseudo-Frobenius numbers as a
 mask, the gap sum and the genus.  ``_children`` derives each child's state
-from its parent's in O(1) big-int steps.  Counting stops two levels early,
-by Fromentin and Hivert's rule: the nodes of the last level but one are the
-effective generators of the level above, and ``_grandchildren`` reads each
-child's effective generators from its parent (``_drops`` marks the children
-that lose a generator, y + m = a + b), so the last level is counted from the
-level two above without building a state of either.
+from its parent's in O(1) big-int steps.  Counting stops three levels early,
+by Fromentin and Hivert's rule: a node's children are its effective
+generators, and ``_levels`` derives its children's and grandchildren's from
+them (``_drops`` marks the children that lose one, y + m = a + b), so a count
+to genus g walks to g - 3 and reads the last three levels, building no state.
 Statistics stop one level early: every child is its parent plus one gap
 y > F (Bras-Amorós's tree), so ``Accumulator._add_children`` adds the last
 level from the level above without building a child.
@@ -117,16 +116,33 @@ def _drops(state, top):
     return out
 
 
-def _grandchildren(state, top):
-    """The number of grandchildren: the children's effective generators, read
-    as ``_children`` derives them, without building a child.  The child
-    removing the i-th of the k effective generators keeps the k - i above
-    it, plus y + m unless it ``_drops``; an ordinary S's child removing m has
-    m+1 .. 2m+1, one more than that.
+def _levels(state, top):
+    """(children, grandchildren, great-grandchildren) of a kernel state, with
+    no child state built.  Each child's ``mask``, ``rev`` and effective
+    generators follow ``_children``'s rules; a child with k generators has
+    k(k+1)/2 grandchildren less its ``_drops`` (tested inline, as a call per
+    parent and child was slower).  The ordinary child O_{m+1} has m + 1
+    children and (m+1)(m+2)/2 - (m-1) + 1 grandchildren (m+3 .. 2m+1 drop).
     """
-    eff = state[4]
-    k = eff.bit_count()
-    return k * (k + 1) // 2 - _drops(state, top).bit_count() + (eff >> state[2] & 1)
+    mask, rev, m, _, eff, _, _, _, _ = state
+    n1, n2, n3 = eff.bit_count(), 0, 0
+    if eff >> m & 1:  # S is ordinary; its first child is O_{m+1}
+        eff ^= 1 << m
+        n2, n3 = m + 1, (m + 1) * (m + 2) // 2 - m + 2
+    window, shift = 2 << m, top + 1 - m
+    while eff:
+        low = eff & -eff
+        eff ^= low  # the generators above y, which the child keeps
+        c, r = mask ^ low, rev ^ (1 << (top + 1 - low.bit_length()))
+        kids = eff if c & (r >> (shift - low.bit_length())) & (low - window) else eff | low << m
+        k = kids.bit_count()
+        n2, n3 = n2 + k, n3 + k * (k + 1) // 2
+        while kids:
+            z = kids & -kids
+            kids ^= z
+            if c & (r >> (shift - z.bit_length())) & (z - window):
+                n3 -= 1
+    return n1, n2, n3
 
 
 def _series(gmax, roots=None, width=None):
@@ -147,23 +163,22 @@ def _series(gmax, roots=None, width=None):
 def _count_job(args):
     """Nodes per depth below one task's roots, which share their depth d.
 
-    The walk stops at depth stop = max(d, target - 2).  When stop < target,
-    each state at stop adds its effective generators (its children) to level
-    stop + 1 and, when stop + 2 = target, its ``_grandchildren`` to level
-    target.
+    The walk stops at depth stop = max(d, target - 3); each state there adds
+    the first target - stop of its ``_levels`` to levels stop + 1 .. target.
     """
     roots, target, width = args
     top = width - 1
-    stop = max(roots[0][8], target - 2)
-    levels = [0] * (target + 1)
+    stop = max(roots[0][8], target - 3)
+    levels = [0] * (stop + 4)  # three levels below stop, cut to target
     for state in _series(stop, roots, width):
         g = state[8]
         levels[g] += 1
         if g == stop < target:
-            levels[g + 1] += state[4].bit_count()
-            if g + 2 == target:
-                levels[target] += _grandchildren(state, top)
-    return levels
+            n1, n2, n3 = _levels(state, top)
+            levels[g + 1] += n1
+            levels[g + 2] += n2
+            levels[g + 3] += n3
+    return levels[:target + 1]
 
 
 def _series_job(genera, args):

@@ -13,7 +13,8 @@ from numsem.kunz import (
     kunz_of,
     semigroup_of_kunz,
 )
-from numsem.tree import count_genus_series, iter_semigroups
+from numsem.stats import Accumulator
+from numsem.tree import _width, count_genus_series, enumerate_genus, iter_semigroups
 
 
 def test_kunz_of_examples():
@@ -73,6 +74,32 @@ def test_oracle_matches_tree():
     series = count_genus_series(12)
     assert [count_by_kunz(g) for g in range(13)] == series
     assert series[:8] == [1, 1, 2, 4, 7, 12, 23, 39]
+
+
+def _kunz_aggregate(g):
+    """The genus-g aggregate without the tree: each Kunz vector x gives the
+    gaps {q*m + i : q < x_i} and F = max((x_i - 1)*m + i), and the
+    from-scratch ``add_leaf`` counts the rest."""
+    width = _width(g)
+    full = (1 << width) - 1
+    acc = Accumulator(g, width)
+    for m in range(1, g + 2):
+        for kv in enumerate_kunz_vectors(m, g):
+            gaps, F = 0, -1
+            for i, x in enumerate(kv.coords, 1):
+                for q in range(x):
+                    gaps |= 1 << (q * m + i)
+                F = max(F, (x - 1) * m + i)
+            acc.add_leaf(full ^ gaps, m, F)
+    return acc.finalize()
+
+
+def test_kunz_aggregates_match_the_walk():
+    # The whole aggregate from an enumeration that shares no code with the
+    # walk: a wrong child step changes the tree's set of semigroups, which
+    # the fold over iter_semigroups would share.
+    for g in range(19):
+        assert _kunz_aggregate(g).canonical_bytes() == enumerate_genus(g).canonical_bytes(), g
 
 
 def test_backtracker_agrees_with_filter():

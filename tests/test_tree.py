@@ -17,7 +17,7 @@ from numsem.tree import (
     _children,
     _count_job,
     _drops,
-    _grandchildren,
+    _levels,
     _root,
     _series,
     _width,
@@ -121,24 +121,30 @@ def test_kernel_state_matches_from_scratch(depth, data):
 
 
 def test_grandchildren_are_the_childrens_generators():
-    top = _width(14) - 1
-    for state in _series(14):
+    # _levels against _children applied three times; the width is a walk to
+    # genus 17's, so the third application stays inside the mask.
+    width = _width(17)
+    top = width - 1
+    for state in _series(14, width=width):
         kids = _children(state, top)
-        assert _grandchildren(state, top) == sum(k[4].bit_count() for k in kids), state
+        grandkids = [k2 for k in kids for k2 in _children(k, top)]
+        want = (len(kids), len(grandkids), sum(len(_children(k, top)) for k in grandkids))
+        assert _levels(state, top) == want, state
         drops = sum(1 << k[3] for k in kids if k[3] > state[2] and k[5] == state[5] - 1)
         assert _drops(state, top) == drops, state
 
 
 def _count_full_walk(roots, target, width):
     """The levels of a walk that builds every state down to ``target``: the
-    reference for ``_count_job``, which stops two levels early."""
+    reference for ``_count_job``, which walks to target - 3 and reads the
+    last three levels."""
     per_depth = Counter(s[8] for s in _series(target, roots, width))
     return [per_depth[d] for d in range(target + 1)]
 
 
 def test_count_job_at_each_root_depth():
-    # Roots at depth target and target - 1 walk no deeper than themselves;
-    # shallower roots walk to target - 2 and count the last two levels there.
+    # Roots at depth d walk to max(d, target - 3) and count the levels below
+    # from there.
     for target in range(13):
         width = _width(target)
         states = list(_series(target, width=width))
