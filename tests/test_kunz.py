@@ -95,9 +95,9 @@ def _kunz_aggregate(g):
 
 
 def test_kunz_aggregates_match_the_walk():
-    # The whole aggregate from an enumeration that shares no code with the
-    # walk: a wrong child step changes the tree's set of semigroups, which
-    # the fold over iter_semigroups would share.
+    # Whole aggregates from an enumeration that does not walk the tree: a
+    # wrong child step changes the set of semigroups the tree holds, and the
+    # brute-force fold over iter_semigroups walks that same tree.
     for g in range(19):
         assert _kunz_aggregate(g).canonical_bytes() == enumerate_genus(g).canonical_bytes(), g
 

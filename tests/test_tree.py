@@ -121,8 +121,8 @@ def test_kernel_state_matches_from_scratch(depth, data):
 
 
 def test_grandchildren_are_the_childrens_generators():
-    # _levels against _children applied three times; the width is a walk to
-    # genus 17's, so the third application stays inside the mask.
+    # _levels against _children applied three times, in the width of a walk
+    # to genus 17, so that the third application stays inside the mask.
     width = _width(17)
     top = width - 1
     for state in _series(14, width=width):
