@@ -162,6 +162,10 @@ class SemigroupSet:
         return f"SemigroupSet(gaps={list(self.gaps())})"
 
 
+# F=-1, m=1: capacity F+2m+2 = 3, rounded up to 4.
+_FULL_MONOID = SemigroupSet(0b1111, 4)
+
+
 @dataclass(frozen=True)
 class InvariantRecord:
     """All scalar invariants of one semigroup."""
@@ -187,17 +191,6 @@ class AperyTable:
     entries: tuple
 
 
-_N0 = None
-
-
-def _full_monoid():
-    global _N0
-    if _N0 is None:
-        cap = 4  # F=-1, m=1: capacity F+2m+2 = 3, rounded up
-        _N0 = SemigroupSet((1 << cap) - 1, cap)
-    return _N0
-
-
 def semigroup_from_gaps(gaps):
     """Build the semigroup whose gap set is exactly ``gaps``.
 
@@ -205,7 +198,7 @@ def semigroup_from_gaps(gaps):
     """
     gaps = set(gaps)
     if not gaps:
-        return _full_monoid()
+        return _FULL_MONOID
     if min(gaps) < 1:
         raise ValueError("gaps must be positive integers")
     F = max(gaps)
@@ -240,7 +233,7 @@ def semigroup_from_generators(gens):
         raise InfiniteGenus(f"gcd of generators is {d}")
     m = gens[0]
     if m == 1:
-        return _full_monoid()
+        return _FULL_MONOID
     # Schur bound: F <= (m-1)(max-1) - 1 for a coprime generating set
     bound = (m - 1) * (gens[-1] - 1) + 2 * m + 2
     mask = 1

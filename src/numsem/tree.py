@@ -24,18 +24,17 @@ stack.  Counting, statistics (``series_accumulators``, and through it
 ``enumerate_genus``), ``iter_semigroups``, the split into tasks (``_tasks``)
 and every tree-walking verify suite read it.
 
-``_run`` is the one driver.  Parallel runs walk serially to ``split_depth``
-and map the frontier subtrees onto worker processes (see ``_tasks``); a
-serial run is the one-task case, the root's whole tree walked in-process
-with nothing kept.  Either way the driver folds the tasks' results (level
-counts, or one Accumulator per requested genus, merged with ``merge_in``)
-and finalizes once, so the GenusAggregate is byte-identical whatever the
-worker count.  The first parallel run imports ``concurrent.futures``.
+``_run`` is the one driver.  Parallel runs split the tree into tasks that
+hold every state exactly once (see ``_tasks``) and map them onto worker
+processes; a serial run is the one-task case, the root's whole tree walked
+in-process.  Either way the driver folds the tasks' results (level counts,
+or one Accumulator per requested genus, merged with ``merge_in``) and
+finalizes once, so the GenusAggregate is byte-identical whatever the worker
+count.  The first parallel run imports ``concurrent.futures``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .core import SemigroupSet
@@ -47,7 +46,6 @@ DEFAULT_SPLIT_DEPTH = 14
 ProcessPoolExecutor = None  # filled in by the first parallel run (see _run)
 
 __all__ = [
-    "EnumerationPlan",
     "count_genus",
     "count_genus_series",
     "iter_semigroups",
@@ -161,7 +159,8 @@ def _series(gmax, roots=None, width=None):
 
 
 def _count_job(args):
-    """Nodes per depth below one task's roots, which share their depth d.
+    """Nodes per depth below one task's roots, which share their depth d, down
+    to the depth ``target`` the task stops at.
 
     The walk stops at depth stop = max(d, target - 3); each state there adds
     the first target - stop of its ``_levels`` to levels stop + 1 .. target.
@@ -184,11 +183,12 @@ def _count_job(args):
 def _series_job(genera, args):
     """{g: Accumulator} for each depth g in ``genera`` that the walk below one
     task's roots (which share their depth d) reaches; no other state is
-    accumulated.  ``target`` is the largest of ``genera``.
+    accumulated.  ``target`` is the depth the task stops at.
 
-    The walk stops at depth stop = max(d, target - 1).  When stop < target,
-    each state at stop adds its children to the genus-``target`` Accumulator
-    with ``_add_children``, which builds no child state.
+    The walk stops at depth stop = max(d, target - 1).  When stop < target
+    and ``target`` is in ``genera``, each state at stop adds its children to
+    the genus-``target`` Accumulator with ``_add_children``, which builds no
+    child state.
     """
     roots, target, width = args
     top = width - 1
@@ -202,94 +202,72 @@ def _series_job(genera, args):
         if acc is not None:
             mask, _, m, F, _, e, pf, alpha, _ = state
             acc._add(mask, m, F, e, pf.bit_count(), alpha)
-        if g == stop < target:
+        if g == stop < target and last is not None:
             last._add_children(state, top)
     return {acc.genus: acc for acc in accs if acc is not None}
 
 
-@dataclass(frozen=True)
-class EnumerationPlan:
-    """How a genus enumeration is divided into independent work units."""
-
-    target_genus: int
-    split_depth: int
-    worker_count: int
-
-    def __post_init__(self):
-        if not 0 <= self.split_depth < max(self.target_genus, 1):
-            raise ValueError("split_depth must satisfy 0 <= split_depth < target_genus")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be positive")
-
-
-def _plan(g, threads, split_depth):
-    if threads is not None and threads < 1:
-        raise ValueError("threads must be positive")
-    if g == 0 or threads is None or threads == 1:
-        return None
-    if split_depth is None:
-        split_depth = min(DEFAULT_SPLIT_DEPTH, g - 1)
-    return EnumerationPlan(g, split_depth, threads)
-
-
 def _tasks(width, depth, target, workers):
-    """Split the tree into worker tasks, large ones first.
+    """Split the tree down to ``target`` into worker tasks, large ones first.
 
-    A task is a tuple of kernel states of one depth, from which a worker
-    resumes the walk.  The leftmost node at ``depth`` is the ordinary
-    semigroup O_{depth+1}; its subtree holds every semigroup of multiplicity
-    > depth, most of the tree at large genus (90.6% of the leaves at genus 30
-    with depth 14), so it is split down the ordinary chain: the children of
-    O_k other than O_{k+1} (every other semigroup of multiplicity k) make one
-    large task each, and O_{target+1}, at depth ``target``, one more.  The
-    other nodes at ``depth`` are dealt round-robin into at most
-    8 x ``workers`` tasks, which spreads the large subtrees at the left of
-    the walk.
-
-    Returns the tasks and the states that no task holds: those above
-    ``depth``, then the chain nodes O_{depth+1} .. O_target walked here.
+    A task is a pair (roots, stop): kernel states of one depth, from which a
+    worker resumes the walk, and the depth it stops at.  The tasks hold every
+    state of depth <= ``target`` exactly once.  The leftmost node at
+    ``depth`` is the ordinary semigroup O_{depth+1}; its subtree holds every
+    semigroup of multiplicity > depth, most of the tree at large genus
+    (90.6% of the leaves at genus 30 with depth 14), so it is split down the
+    ordinary chain: the children of O_k other than O_{k+1} (every other
+    semigroup of multiplicity k) make one large task each, and O_{target+1},
+    at depth ``target``, one more.  The other nodes at ``depth`` are dealt
+    round-robin into at most 8 x ``workers`` tasks, which spreads the large
+    subtrees at the left of the walk.  Each chain node O_{depth+1} ..
+    O_target is a task that stops at its own depth, and the root's tree
+    above ``depth`` is the last task.
     """
-    kept, frontier = [], []
-    for state in _series(depth, width=width):
-        (frontier if state[8] == depth else kept).append(state)
+    frontier = [state for state in _series(depth, width=width) if state[8] == depth]
     # Removing the multiplicity is always the first child, so the leftmost
     # node is O_{depth+1}.
     state, rest = frontier[0], frontier[1:]
     n = min(8 * workers, len(rest))
-    small = [tuple(rest[i::n]) for i in range(n)]
-    large = []
+    small = [(tuple(rest[i::n]), target) for i in range(n)]
+    large, chain = [], []
     for _ in range(depth, target):
-        kept.append(state)
+        chain.append(((state,), state[8]))
         state, *group = _children(state, width - 1)
         if group:
-            large.append(tuple(group))
-    return large + small + [(state,)], kept
+            large.append((tuple(group), target))
+    top = [((_root(width),), depth - 1)] if depth else []
+    return large + small + [((state,), target)] + chain + top
 
 
 def _run(gmax, width, threads, split_depth, job, fold):
     """Call ``fold`` on the result of ``job`` for every task of a walk down to
-    ``gmax``; return the states that no task holds (see ``_tasks``).
+    ``gmax``; the tasks hold every state once (see ``_tasks``).
 
-    Without a plan (one worker, or genus 0) the run is one task, the root,
-    walked in this process, and no state is kept.  Otherwise the tasks run in
-    one process pool and are folded in the order they complete, so ``fold``
-    must not depend on that order (every job's fold is a sum).  The pool
-    module is imported by the first parallel run, never by a serial one.
+    With one worker, or at genus 0, the run is one task, the root, walked in
+    this process.  Otherwise the tasks run in one process pool and are folded
+    in the order they complete, so ``fold`` must not depend on that order
+    (every job's fold is a sum).  The pool module is imported by the first
+    parallel run, never by a serial one.
     """
     global ProcessPoolExecutor
-    plan = _plan(gmax, threads, split_depth)
-    if plan is None:
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be positive")
+    if gmax == 0 or threads is None or threads == 1:
         fold(job(((_root(width),), gmax, width)))
-        return ()
+        return
+    if split_depth is None:
+        split_depth = min(DEFAULT_SPLIT_DEPTH, gmax - 1)
+    if not 0 <= split_depth < gmax:
+        raise ValueError("split_depth must satisfy 0 <= split_depth < target_genus")
     from concurrent.futures import ProcessPoolExecutor as pool_class, as_completed
     ProcessPoolExecutor = ProcessPoolExecutor or pool_class  # keeps a patched class
-    tasks, kept = _tasks(width, plan.split_depth, gmax, plan.worker_count)
-    with ProcessPoolExecutor(max_workers=plan.worker_count) as pool:
+    tasks = _tasks(width, split_depth, gmax, threads)
+    with ProcessPoolExecutor(max_workers=threads) as pool:
         # as_completed lets go of each future it yields, so a result is held
         # only until it is folded.
-        for future in as_completed([pool.submit(job, (roots, gmax, width)) for roots in tasks]):
+        for future in as_completed([pool.submit(job, (roots, stop, width)) for roots, stop in tasks]):
             fold(future.result())
-    return kept
 
 
 def count_genus(g, threads=1, split_depth=None):
@@ -306,8 +284,7 @@ def count_genus_series(gmax, threads=1, split_depth=None):
         for d, n in enumerate(part):
             levels[d] += n
 
-    for state in _run(gmax, width, threads, split_depth, _count_job, fold):
-        levels[state[8]] += 1
+    _run(gmax, width, threads, split_depth, _count_job, fold)
     return levels
 
 
@@ -330,8 +307,8 @@ def series_accumulators(genera, threads=1, split_depth=None):
     finalized, from a single tree walk down to the largest.
 
     Only the states of those depths are accumulated.  Each task keeps one
-    Accumulator per such depth it reaches; the driver folds them with the
-    states no task holds, so the bytes do not depend on the worker count.
+    Accumulator per such depth it reaches, and the driver merges them, so
+    the bytes do not depend on the worker count.
     """
     genera = frozenset(genera)
     gmax = max(genera)
@@ -343,7 +320,5 @@ def series_accumulators(genera, threads=1, split_depth=None):
         for g, part in parts.items():
             accs[g].merge_in(part)
 
-    for mask, _, m, F, _, e, pf, alpha, g in _run(gmax, width, threads, split_depth, job, fold):
-        if g in accs:
-            accs[g]._add(mask, m, F, e, pf.bit_count(), alpha)
+    _run(gmax, width, threads, split_depth, job, fold)
     return accs

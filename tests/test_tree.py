@@ -13,7 +13,6 @@ from numsem.errors import GenusTooLarge
 from numsem.stats import Accumulator, merge
 from numsem.tree import (
     MAX_GENUS,
-    EnumerationPlan,
     _children,
     _count_job,
     _drops,
@@ -230,6 +229,24 @@ def test_parallel_matches_serial_at_every_split_depth():
             assert agg.canonical_bytes() == serial, (g, d)
 
 
+def test_tasks_partition_the_tree():
+    # The tasks hold every state of depth <= g exactly once, so no caller of
+    # _run folds a state of its own.
+    for g in range(1, 13):
+        width = _width(g)
+        for d in range(g):
+            for workers in (1, 2, 4):
+                levels, masks = [0] * (g + 1), set()
+                for roots, stop in tree._tasks(width, d, g, workers):
+                    assert len({state[8] for state in roots}) == 1
+                    assert roots[0][8] <= stop <= g, (g, d, workers)
+                    for state in _series(stop, roots, width):
+                        assert state[0] not in masks, (g, d, workers)
+                        masks.add(state[0])
+                        levels[state[8]] += 1
+                assert levels == count_genus_series(g), (g, d, workers)
+
+
 def _series_bytes(genera, threads=1, split_depth=None):
     """canonical_bytes of each aggregate of a series walk, by genus."""
     accs = series_accumulators(genera, threads, split_depth)
@@ -302,9 +319,9 @@ def test_recursion_limit_unchanged():
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        EnumerationPlan(5, 5, 2)
+        count_genus(5, threads=2, split_depth=5)
     with pytest.raises(ValueError):
-        EnumerationPlan(5, 2, 0)
+        enumerate_genus(5, threads=2, split_depth=-1)
 
 
 def test_threads_below_one_are_rejected():
