@@ -95,7 +95,7 @@ def cache_put(cache_dir, agg, wall_time=0.0):
     tmp = f"{path}.{os.getpid()}-{os.urandom(8).hex()}.tmp"
     try:
         with open(tmp, "x") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            fh.write(json.dumps(payload, sort_keys=True))  # dumps runs the C encoder
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -328,16 +328,9 @@ class Accumulator:
     def _add_children(self, state, top):
         """``_add`` of every child of a tree kernel state one level above the
         genus (the children of ``tree._children``), read from the parent
-        without building a child.
-
-        A child removes one effective generator y > F, so its gaps below its
-        Frobenius number y are the parent's gaps, whose bytes count once per
-        child, and its decile key gains y only when y is a decile point.
-        Except for the ordinary child (y = m, through ``_add``), m stays,
-        F = y, w gains y, e loses one when y + m = a + b and e1 loses one when
-        y < 2m.  The e test is ``tree._drops``'s, restated per child: a call
-        of ``_drops`` per parent made the statistics walk slower.
-        """
+        without building a child: the ordinary child through ``_add``, the
+        others through ``_leaves``.  Their gaps below their Frobenius numbers
+        are the parent's, whose bytes count once per child."""
         mask, rev, m, F, eff, e, pf, alpha, _ = state
         if eff >> m & 1:  # S is ordinary; its first child is O_{m+1}
             t = 1 + (pf & ~(rev >> (top - m))).bit_count()
@@ -347,52 +340,93 @@ class Accumulator:
             return
         g = self.genus
         n = eff.bit_count()
-        self.count += n
         gaps = ~mask & ((1 << (F + 1)) - 1)
         gb = self.gap_bytes
         for j, b in zip(_BYTE_OFFSETS, gaps.to_bytes((F + 8) >> 3, "little")):
             gb[j + b] += n
-        # Per child, with b = y + 1 (the bit length of 1 << y): its PF is y
-        # and the p in PF(S) with y - p a gap of S, and its gaps in
-        # (y - m, y] are y and the parent's gaps above y - m, so with y left
-        # out of both counts, (t, t1) is counted at tb + t * tk + t1.  (m, F)
-        # is counted at mb + b and w at wb + b.
+        e1 = (mask >> m & ((1 << m) - 1)).bit_count()
+        wb = alpha - g * (g + 1) // 2 - 1
+        self._leaves(m, top, ((mask, rev, eff, pf, gaps, e, e1, wb, ~mask & self._decile_mask),))
+
+    def _add_grandchildren(self, state, top):
+        """``_add_children`` of every child of a tree kernel state that is not
+        ordinary, two levels above the genus, with no child state built.  Each
+        child follows ``_children``'s rules for its y.  A grandchild's gaps
+        below its Frobenius number are the parent's and y: the parent's gap
+        bytes count once per grandchild, and y alone once per child's child."""
+        mask, rev, m, F, eff, e, pf, alpha, _ = state
+        g = self.genus
+        gaps = ~mask & ((1 << (F + 1)) - 1)
+        e1 = (mask >> m & ((1 << m) - 1)).bit_count()
+        wb = alpha - g * (g + 1) // 2 - 1
+        dmask = self._decile_mask
+        key = ~mask & dmask
+        gb = self.gap_bytes
+        total = 0
+        nodes = []
+        while eff:
+            low = eff & -eff
+            eff ^= low  # the generators above y, which the child keeps
+            y = low.bit_length() - 1
+            drop = mask & (rev >> (top - m - y)) & (low - (2 << m))  # y + m = a + b
+            kids = eff if drop else eff | low << m
+            if not kids:
+                continue
+            n = kids.bit_count()
+            total += n
+            gb[(y >> 3 << 8) + (1 << (y & 7))] += n
+            r = rev ^ (1 << (top - y))
+            nodes.append((
+                mask ^ low, r, kids, pf & ~(r >> (top - y)) | low, gaps | low,
+                e - 1 if drop else e, e1 - 1 if y < 2 * m else e1, wb + y, key | low & dmask,
+            ))
+        for j, b in zip(_BYTE_OFFSETS, gaps.to_bytes((F + 8) >> 3, "little")):
+            gb[j + b] += total
+        self._leaves(m, top, nodes)
+
+    def _leaves(self, m, top, nodes):
+        """Count the children of ``nodes`` (mask, rev, effective generators,
+        PF, gaps, e, e1, w offset, decile key), which share m and are not
+        ordinary, all but their gap bytes.  A child's PF is y and the p in PF
+        with y - p a gap, and its gaps in (y - m, y] are y and the node's gaps
+        above y - m, so with b = y + 1 and y left out of both, (t, t1) is
+        counted at tb + t * tk + t1.  e loses one when y + m = a + b
+        (``tree._drops``'s test; a call per node was slower), e1 when y < 2m."""
         tt, mf = self.t_t1, self.m_F
         he, he1, he2, hw = _own_hists(self.hist)
         dg = self.decile_gaps
         dmask = self._decile_mask
-        key = ~mask & dmask
-        e1 = (mask >> m & ((1 << m) - 1)).bit_count()
         tk = self._tk
         tb = tk + 1
         mb = m * self._fk
-        wb = alpha - g * (g + 1) // 2 - 1
-        nrev = ~rev
         rb = top + 1
         rmb = rb - m
         m2 = 2 << m
         below = 1 << 2 * m  # y < 2m iff 1 << y < below
-        half = third = 0
-        x = eff
-        while x:
-            low = x & -x
-            x ^= low
-            b = low.bit_length()
-            t = (pf & (nrev >> (rb - b))).bit_count()
-            tt[tb + t * tk + (gaps >> (b - m)).bit_count()] += 1
-            mf[mb + b] += 1
-            hw[wb + b] += 1
-            ce = e - 1 if mask & (rev >> (rmb - b)) & (low - m2) else e
-            ce1 = e1 - 1 if low < below else e1
-            he[ce] += 1
-            he1[ce1] += 1
-            he2[ce - ce1] += 1
-            if 3 * ce >= m:
-                third += 1
-                if 2 * ce >= m:
-                    half += 1
-            k = key | low & dmask
-            dg[k] = dg.get(k, 0) + 1
+        count = half = third = 0
+        for mask, rev, eff, pf, gaps, e, e1, wb, key in nodes:
+            count += eff.bit_count()
+            nrev = ~rev
+            while eff:
+                low = eff & -eff
+                eff ^= low
+                b = low.bit_length()
+                t = (pf & (nrev >> (rb - b))).bit_count()
+                tt[tb + t * tk + (gaps >> (b - m)).bit_count()] += 1
+                mf[mb + b] += 1
+                hw[wb + b] += 1
+                ce = e - 1 if mask & (rev >> (rmb - b)) & (low - m2) else e
+                ce1 = e1 - 1 if low < below else e1
+                he[ce] += 1
+                he1[ce1] += 1
+                he2[ce - ce1] += 1
+                if 3 * ce >= m:
+                    third += 1
+                    if 2 * ce >= m:
+                        half += 1
+                k = key | low & dmask
+                dg[k] = dg.get(k, 0) + 1
+        self.count += count
         self.c_e_half += half
         self.c_e_third += third
 

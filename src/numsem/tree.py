@@ -15,9 +15,9 @@ by Fromentin and Hivert's rule: a node's children are its effective
 generators, and ``_levels`` derives its children's and grandchildren's from
 them (``_drops`` marks the children that lose one, y + m = a + b), so a count
 to genus g walks to g - 3 and reads the last three levels, building no state.
-Statistics stop one level early: every child is its parent plus one gap
-y > F (Bras-Amorós's tree), so ``Accumulator._add_children`` adds the last
-level from the level above without building a child.
+Statistics stop two levels early: every child is its parent plus one gap
+y > F (Bras-Amorós's tree), so ``Accumulator._add_grandchildren`` adds the
+last two levels from depth g - 2 without building a child.
 
 ``_series`` is the one walk: a depth-first pre-order walk with an explicit
 stack.  Counting, statistics (``series_accumulators``, and through it
@@ -185,25 +185,30 @@ def _series_job(genera, args):
     task's roots (which share their depth d) reaches; no other state is
     accumulated.  ``target`` is the depth the task stops at.
 
-    The walk stops at depth stop = max(d, target - 1).  When stop < target
-    and ``target`` is in ``genera``, each state at stop adds its children to
-    the genus-``target`` Accumulator with ``_add_children``, which builds no
-    child state.
+    The walk stops at depth max(d, target - 2), and only the roots go through
+    ``_add``.  Each walked state below ``target`` adds its children to the
+    next genus (``_add_children``), and each at target - 2 its grandchildren
+    to ``target``, when that genus is requested; the ordinary state there
+    builds its children with ``_children``, which holds that rule alone.
     """
     roots, target, width = args
     top = width - 1
     base = roots[0][8]
-    stop = max(base, target - 1)
     accs = [Accumulator(g, width) if g in genera else None for g in range(base, target + 1)]
+    if accs[0] is not None:
+        for mask, _, m, F, _, e, pf, alpha, _ in roots:
+            accs[0]._add(mask, m, F, e, pf.bit_count(), alpha)
     last = accs[-1]
-    for state in _series(stop, roots, width):
+    for state in _series(max(base, target - 2), roots, width):
         g = state[8]
-        acc = accs[g - base]
-        if acc is not None:
-            mask, _, m, F, _, e, pf, alpha, _ = state
-            acc._add(mask, m, F, e, pf.bit_count(), alpha)
-        if g == stop < target and last is not None:
-            last._add_children(state, top)
+        if g < target and accs[g + 1 - base] is not None:
+            accs[g + 1 - base]._add_children(state, top)
+        if g == target - 2 and last is not None:
+            if state[4] >> state[2] & 1:  # ordinary: m is an effective generator
+                for kid in _children(state, top):
+                    last._add_children(kid, top)
+            else:
+                last._add_grandchildren(state, top)
     return {acc.genus: acc for acc in accs if acc is not None}
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -299,6 +300,17 @@ def test_cache_roundtrip(tmp_path):
     assert back == agg
     assert back.canonical_bytes() == agg.canonical_bytes()
     assert cache_get(str(tmp_path), 7) is None
+
+
+def test_cache_file_bytes_pinned(tmp_path):
+    # The genus-6 cache file, byte for byte: the writer's encoder must not
+    # change a byte of what earlier versions wrote.
+    with open(cache_put(str(tmp_path), enumerate_genus(6), 0.0), "rb") as fh:
+        data = fh.read()
+    assert len(data) == 1922
+    assert hashlib.sha256(data).hexdigest() == (
+        "5a4ac220cfe4ab2c54873839505ee91cc06d5eb7a612338d2ac2467524de62d5"
+    )
 
 
 def test_cache_numbers_are_strings(tmp_path):

@@ -167,6 +167,23 @@ def test_add_children_is_add_of_each_child():
         assert batched.finalize() == each.finalize(), _gaps(state)
 
 
+def test_add_grandchildren_is_add_of_each_grandchild():
+    # The batched add of the statistics walk's last two levels against the
+    # reference: _add of every grandchild that _children builds twice.  The
+    # walk builds the ordinary state's children instead.
+    width = _width(16)
+    top = width - 1
+    for state in _series(14, width=width):
+        if state[4] >> state[2] & 1:
+            continue
+        batched, each = Accumulator(state[8] + 2, width), Accumulator(state[8] + 2, width)
+        batched._add_grandchildren(state, top)
+        for kid in _children(state, top):
+            for mask, _, m, F, _, e, pf, alpha, _ in _children(kid, top):
+                each._add(mask, m, F, e, pf.bit_count(), alpha)
+        assert batched.finalize() == each.finalize(), _gaps(state)
+
+
 def test_iter_semigroups_is_lazy():
     tracemalloc.start()
     try:
@@ -263,6 +280,25 @@ def test_series_is_the_per_genus_aggregates():
         assert [accs[g].count for g in range(G + 1)] == count_genus_series(G), G
     for genera in [range(G + 1) for G in range(17)] + [{12}, {1, 12}, {3, 7, 8}, {0, 5}]:
         want = {g: per_genus[g] for g in genera}
+        assert _series_bytes(genera) == want, genera
+        for d in range(max(genera)):
+            assert _series_bytes(genera, 2, d) == want, (genera, d)
+
+
+def test_two_level_stop_is_the_from_scratch_fold():
+    # The genera sets that reach the walk's last two levels, serial and at
+    # every 2-worker split, against add_leaf folded over iter_semigroups.
+    folded = {}
+    for g in range(13):
+        acc = Accumulator(g, _width(g))
+        for S in iter_semigroups(g):
+            acc.add_leaf(S.mask, S.multiplicity, S.frobenius)
+        folded[g] = acc.finalize().canonical_bytes()
+    sets = {frozenset({0, 2}), frozenset({1, 2})}
+    for g in range(13):
+        sets |= {frozenset({g}), frozenset({max(g - 1, 0), g}), frozenset({max(g - 2, 0), g})}
+    for genera in sorted(sets, key=sorted):
+        want = {g: folded[g] for g in genera}
         assert _series_bytes(genera) == want, genera
         for d in range(max(genera)):
             assert _series_bytes(genera, 2, d) == want, (genera, d)
