@@ -390,8 +390,8 @@ class Accumulator:
         ordinary, all but their gap bytes.  A child's PF is y and the p in PF
         with y - p a gap, and its gaps in (y - m, y] are y and the node's gaps
         above y - m, so with b = y + 1 and y left out of both, (t, t1) is
-        counted at tb + t * tk + t1.  e loses one when y + m = a + b
-        (``tree._drops``'s test; a call per node was slower), e1 when y < 2m."""
+        counted at tb + t * tk + t1.  e loses one when y + m = a + b with
+        m < a, b < y (``tree._children``'s test), e1 when y < 2m."""
         tt, mf = self.t_t1, self.m_F
         he, he1, he2, hw = _own_hists(self.hist)
         dg = self.decile_gaps

@@ -13,8 +13,9 @@ mask, the gap sum and the genus.  ``_children`` derives each child's state
 from its parent's in O(1) big-int steps.  Counting stops three levels early,
 by Fromentin and Hivert's rule: a node's children are its effective
 generators, and ``_levels`` derives its children's and grandchildren's from
-them (``_drops`` marks the children that lose one, y + m = a + b), so a count
-to genus g walks to g - 3 and reads the last three levels, building no state.
+them by ``_children``'s rule (a child loses one when y + m = a + b), so a
+count to genus g walks to g - 3 and reads the last three levels, building
+no state.
 Statistics stop two levels early: every child is its parent plus one gap
 y > F (Bras-Amorós's tree), so ``Accumulator._add_grandchildren`` adds the
 last two levels from depth g - 2 without building a child.
@@ -98,29 +99,14 @@ def _children(state, top):
     return out
 
 
-def _drops(state, top):
-    """The mask of the effective generators y > m whose child (see
-    ``_children``) has e - 1: y + m = a + b with m < a, b < y."""
-    mask, rev, m, _, eff, _, _, _, _ = state
-    eff &= -2 << m  # removing y = m gives the ordinary child
-    window = 2 << m
-    shift = top + 1 - m
-    out = 0
-    while eff:
-        low = eff & -eff
-        eff ^= low
-        if mask & (rev >> (shift - low.bit_length())) & (low - window):
-            out |= low
-    return out
-
-
 def _levels(state, top):
     """(children, grandchildren, great-grandchildren) of a kernel state, with
     no child state built.  Each child's ``mask``, ``rev`` and effective
     generators follow ``_children``'s rules; a child with k generators has
-    k(k+1)/2 grandchildren less its ``_drops`` (tested inline, as a call per
-    parent and child was slower).  The ordinary child O_{m+1} has m + 1
-    children and (m+1)(m+2)/2 - (m-1) + 1 grandchildren (m+3 .. 2m+1 drop).
+    k(k+1)/2 grandchildren less the number of its generators y with
+    y + m = a + b, m < a, b < y (``_children``'s e - 1 test).  The ordinary
+    child O_{m+1} has m + 1 children and (m+1)(m+2)/2 - (m-1) + 1
+    grandchildren (m+3 .. 2m+1 drop).
     """
     mask, rev, m, _, eff, _, _, _, _ = state
     n1, n2, n3 = eff.bit_count(), 0, 0

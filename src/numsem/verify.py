@@ -12,7 +12,7 @@ from itertools import combinations
 from . import bijections as bj
 from . import kunz, kunzcount, polybounds, stats
 from .core import SemigroupSet, _gap_sum, _min_gens_mask, _pf_mask, _windows, minimal_generators
-from .tree import _drops, _series, _width
+from .tree import _series, _tasks, _width
 
 __all__ = ["VerifyResult", "SUITES", "run_suite"]
 
@@ -315,28 +315,20 @@ def verify_t2_bounds(gmax=20):
 
 
 def _deficits(gmax, i):
-    """Counter of (g, g - state[i]) over the states of depth g <= gmax: i = 2
-    for m, 5 for e.  The walk stops at gmax - 1, in the width of a walk to
-    gmax; each state there tallies its children by ``_children``'s rules: the
-    ordinary child (removing y = m) has m + 1 and e = m + 1; any other child
-    keeps m, and has e - 1 when it ``_drops``, e otherwise.  The tallies are
-    kept in lists, rows[g][v] the states of depth g with m or e = v, and
-    turned into the Counter once."""
-    top = _width(gmax) - 1  # rev is in this width
-    rows = [[0] * (gmax + 3) for _ in range(gmax + 1)]
-    last = rows[gmax]
-    for state in _series(gmax - 1, width=top + 1):
-        g, v = state[8], state[i]
-        rows[g][v] += 1
-        if g == gmax - 1 and state[4]:
-            m, eff = state[2], state[4]
-            if eff >> m & 1:  # S is ordinary; its child removing m has m + 1 and e = m + 1
-                last[m + 1] += 1
-                eff ^= 1 << m
-            d = _drops(state, top).bit_count() if i == 5 else 0
-            last[v] += eff.bit_count() - d
-            last[v - 1] += d
-    return Counter({(g, g - v): n for g, row in enumerate(rows) for v, n in enumerate(row) if n})
+    """Counter of (g, g - state[i]) over the states of depth g <= gmax whose
+    deficit g - state[i] is at most ``DMAX``: i = 2 for m, 5 for e.  The walk
+    is the depth-0 split of ``_tasks``, in which every task's states share
+    one multiplicity m, its roots' (the ordinary chain's nodes, and the
+    children of each O_m other than O_{m+1}).  As e <= m, a state with either
+    deficit <= DMAX lies at depth <= m + DMAX, so each task is walked only
+    that far."""
+    width = _width(gmax)
+    return Counter(
+        (s[8], s[8] - s[i])
+        for roots, stop in _tasks(width, 0, gmax, 1)
+        for s in _series(min(stop, roots[0][2] + DMAX), roots, width)
+        if s[8] - s[i] <= DMAX
+    )
 
 
 def verify_counting_m(gmax=22):
@@ -357,6 +349,7 @@ def verify_counting_e(gmax=22):
     by = _deficits(gmax, 5)
     for l in range(-1, DMAX + 1):
         gmin = max(0, 4 * l + 3, -(-(9 * l + 7) // 2))
+        H = kunzcount.H_polynomial(l)
         for g in range(gmin, gmax + 1):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -365,7 +358,7 @@ def verify_counting_e(gmax=22):
                 return VerifyResult(
                     "counting-e", False, f"g={g} l={l}: {v} != {by[g, l]}"
                 )
-            if kunzcount.H_polynomial(l)(g) != v:
+            if H(g) != v:
                 return VerifyResult("counting-e", False, f"g={g} l={l}: H_l mismatch")
     return VerifyResult("counting-e", True, f"l<={DMAX}, g<={gmax}")
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,14 @@ from numsem.kunz import (
     semigroup_of_kunz,
 )
 from numsem.stats import Accumulator
-from numsem.tree import _width, count_genus_series, enumerate_genus, iter_semigroups
+from numsem.tree import (
+    _series,
+    _tasks,
+    _width,
+    count_genus_series,
+    enumerate_genus,
+    iter_semigroups,
+)
 
 
 def test_kunz_of_examples():
@@ -100,6 +109,22 @@ def test_kunz_aggregates_match_the_walk():
     # brute-force fold over iter_semigroups walks that same tree.
     for g in range(19):
         assert _kunz_aggregate(g).canonical_bytes() == enumerate_genus(g).canonical_bytes(), g
+
+
+def test_depth_0_split_is_the_multiplicity_split():
+    # Every state of a task of the split at depth 0 has its roots'
+    # multiplicity, and the tasks of multiplicity m hold as many states of
+    # depth g as there are Kunz vectors of (m, g), which walk no tree.
+    for g in range(15):
+        width = _width(g)
+        per_m = Counter()
+        for roots, stop in _tasks(width, 0, g, 1):
+            m = roots[0][2]
+            for state in _series(stop, roots, width):
+                assert state[2] == m, (g, state)
+                per_m[m] += state[8] == g
+        kunz_counts = {m: len(enumerate_kunz_vectors(m, g)) for m in range(1, g + 2)}
+        assert per_m == Counter(kunz_counts), g
 
 
 def test_backtracker_agrees_with_filter():

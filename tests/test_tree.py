@@ -15,7 +15,6 @@ from numsem.tree import (
     MAX_GENUS,
     _children,
     _count_job,
-    _drops,
     _levels,
     _root,
     _series,
@@ -129,8 +128,6 @@ def test_grandchildren_are_the_childrens_generators():
         grandkids = [k2 for k in kids for k2 in _children(k, top)]
         want = (len(kids), len(grandkids), sum(len(_children(k, top)) for k in grandkids))
         assert _levels(state, top) == want, state
-        drops = sum(1 << k[3] for k in kids if k[3] > state[2] and k[5] == state[5] - 1)
-        assert _drops(state, top) == drops, state
 
 
 def _count_full_walk(roots, target, width):
@@ -270,7 +267,36 @@ def _series_bytes(genera, threads=1, split_depth=None):
     return {g: acc.finalize().canonical_bytes() for g, acc in accs.items()}
 
 
-def test_series_is_the_per_genus_aggregates():
+@pytest.fixture(scope="module")
+def two_workers():
+    """One two-worker process pool for the tests that run many small
+    parallel walks, shut down when the module's tests are done."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(2) as pool:
+        yield pool
+
+
+@pytest.fixture
+def shared_pool(two_workers, monkeypatch):
+    """Make every parallel run of the test use ``two_workers``: ``_run``
+    opens its pool through ``tree.ProcessPoolExecutor``, patched here to hand
+    back the shared pool and leave it open on exit."""
+
+    class Shared:
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return two_workers
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(tree, "ProcessPoolExecutor", Shared)
+
+
+def test_series_is_the_per_genus_aggregates(shared_pool):
     # One walk for every genus up to G, or for a few genera only, serial and
     # at every 2-worker split, gives enumerate_genus's bytes and accumulates
     # no other depth; counts are the count series'.
@@ -285,7 +311,7 @@ def test_series_is_the_per_genus_aggregates():
             assert _series_bytes(genera, 2, d) == want, (genera, d)
 
 
-def test_two_level_stop_is_the_from_scratch_fold():
+def test_two_level_stop_is_the_from_scratch_fold(shared_pool):
     # The genera sets that reach the walk's last two levels, serial and at
     # every 2-worker split, against add_leaf folded over iter_semigroups.
     folded = {}
