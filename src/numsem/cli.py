@@ -108,9 +108,9 @@ def cache_put(cache_dir, agg, wall_time=0.0):
 def cache_get(cache_dir, genus):
     """Cached aggregate, or None on miss / version skew.
 
-    A file that does not parse, fails its checksum or holds another genus is
-    quarantined (renamed with a .corrupt suffix) and CorruptCache is raised;
-    callers recompute.
+    A file that does not parse as a JSON object, fails its checksum or holds
+    another genus is quarantined (renamed with a .corrupt suffix) and
+    CorruptCache is raised; callers recompute.
     """
     path = _cache_path(cache_dir, genus)
     if not os.path.exists(path):
@@ -118,7 +118,9 @@ def cache_get(cache_dir, genus):
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+        if not isinstance(payload, dict):
+            raise ValueError("not a JSON object")
+    except (OSError, ValueError):  # ValueError: JSONDecodeError, UnicodeDecodeError
         os.replace(path, path + ".corrupt")
         raise CorruptCache(f"unreadable cache file quarantined: {path}") from None
     if payload.get("version") != str(CACHE_VERSION):

@@ -146,6 +146,11 @@ def count_multiplicity_deficit(g, k):
     return sum(_prefix_term(g, p) for p in generate_Y(k))
 
 
+def _embedding_prefixes(l):
+    """The prefixes p of Y(k), k <= l, that e(S) = g - l counts: a + b - c = 2k + 1 - l."""
+    return (p for k in range(-1, l + 1) for p in generate_Y(k) if p.a + p.b - p.c == 2 * k + 1 - l)
+
+
 def count_embedding_deficit(g, l):
     """#{S of genus g with e(S) = g - l}; proven exact for g >= 4l+3
     (a second published threshold is g >= (9l+7)/2; both are surfaced)."""
@@ -158,12 +163,7 @@ def count_embedding_deficit(g, l):
             OutOfValidityRangeWarning,
             stacklevel=2,
         )
-    total = 0
-    for k in range(-1, l + 1):
-        for p in generate_Y(k):
-            if p.a + p.b - p.c == 2 * k + 1 - l:
-                total += _prefix_term(g, p)
-    return total
+    return sum(_prefix_term(g, p) for p in _embedding_prefixes(l))
 
 
 def _binom_poly(shift, d):
@@ -186,11 +186,8 @@ def H_polynomial(l):
     if l > MAX_K:
         raise LTooLarge(f"l={l} exceeds the guard {MAX_K}")
     total = ExactPolynomial()
-    for k in range(-1, l + 1):
-        for p in generate_Y(k):
-            if p.a + p.b - p.c != 2 * k + 1 - l:
-                continue
-            total = total + _binom_poly(3 * k + 2, k + 1 - p.a - 2 * p.b)
+    for p in _embedding_prefixes(l):
+        total = total + _binom_poly(3 * p.k + 2, p.k + 1 - p.a - 2 * p.b)
     return total
 
 

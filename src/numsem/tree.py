@@ -44,7 +44,7 @@ from .stats import Accumulator
 
 MAX_GENUS = 45
 DEFAULT_SPLIT_DEPTH = 14
-ProcessPoolExecutor = None  # filled in by the first parallel run (see _run)
+ProcessPoolExecutor = None  # _run's pool class; None for concurrent.futures'
 
 __all__ = [
     "count_genus",
@@ -241,7 +241,6 @@ def _run(gmax, width, threads, split_depth, job, fold):
     (every job's fold is a sum).  The pool module is imported by the first
     parallel run, never by a serial one.
     """
-    global ProcessPoolExecutor
     if threads is not None and threads < 1:
         raise ValueError("threads must be positive")
     if gmax == 0 or threads is None or threads == 1:
@@ -252,9 +251,8 @@ def _run(gmax, width, threads, split_depth, job, fold):
     if not 0 <= split_depth < gmax:
         raise ValueError("split_depth must satisfy 0 <= split_depth < target_genus")
     from concurrent.futures import ProcessPoolExecutor as pool_class, as_completed
-    ProcessPoolExecutor = ProcessPoolExecutor or pool_class  # keeps a patched class
     tasks = _tasks(width, split_depth, gmax, threads)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with (ProcessPoolExecutor or pool_class)(max_workers=threads) as pool:
         # as_completed lets go of each future it yields, so a result is held
         # only until it is folded.
         for future in as_completed([pool.submit(job, (roots, stop, width)) for roots, stop in tasks]):

@@ -1,6 +1,6 @@
 """Verification suites: every claim the package relies on, checked against
-brute-force enumeration.  Each suite returns a VerifyResult whose detail names
-the first counterexample (genus, parameters, semigroup as a sorted gap list)."""
+brute-force enumeration.  Each suite returns (ok, detail), which ``run_suite``
+names; a failure's detail names the first counterexample: g, parameters, gaps."""
 
 from __future__ import annotations
 
@@ -36,8 +36,8 @@ def _gap_mask(mask, F):
     return ~mask & ((1 << (F + 1)) - 1)
 
 
-def _fail(suite, g, msg, S):
-    return VerifyResult(suite, False, f"g={g} S=gaps{list(S.gaps())}: {msg}")
+def _fail(g, msg, S):
+    return False, f"g={g} S=gaps{list(S.gaps())}: {msg}"
 
 
 def _first_failure(gmax, check):
@@ -122,8 +122,8 @@ def verify_core_invariants(gmax=20):
     """Identities, ranges and the walk's kernel state of every S with genus <= gmax."""
     found, seen = _first_failure(gmax, _core_failure)
     if found:
-        return _fail("core-invariants", *found)
-    return VerifyResult("core-invariants", True, f"{sum(seen)} semigroups, g<={gmax}")
+        return _fail(*found)
+    return True, f"{sum(seen)} semigroups, g<={gmax}"
 
 
 def _kunz_failure(state, width):
@@ -144,13 +144,11 @@ def verify_kunz_roundtrip(gmax=12):
     found, seen = _first_failure(gmax, _kunz_failure)
     for g in range(gmax + 1):
         if found and found[0] == g:
-            return _fail("kunz-roundtrip", *found)
+            return _fail(*found)
         total = kunz.count_by_kunz(g)
         if seen[g] != total:
-            return VerifyResult(
-                "kunz-roundtrip", False, f"g={g}: {seen[g]} semigroups vs {total} vectors"
-            )
-    return VerifyResult("kunz-roundtrip", True, f"exhaustive g<={gmax}")
+            return False, f"g={g}: {seen[g]} semigroups vs {total} vectors"
+    return True, f"exhaustive g<={gmax}"
 
 
 def _family(m, F):
@@ -196,15 +194,11 @@ def verify_bijections(gmax=18):
                 for S in (bj.semigroup_from_B(m, B) for B in combinations(range(1, m), size))
             } if 0 <= size <= m - 1 else set()
             if len(imgs) != bj.count_B(g, m):
-                return VerifyResult(
-                    "bijections", False, f"g={g} m={m}: |images| != count_B"
-                )
+                return False, f"g={g} m={m}: |images| != count_B"
             if imgs != by_m.get((g, m), set()):
-                return VerifyResult(
-                    "bijections", False, f"g={g} m={m}: B-images != {{F<2m}}"
-                )
+                return False, f"g={g} m={m}: B-images != {{F<2m}}"
         if any(m not in range(g // 2 + 1, g + 2) for h, m in by_m if h == g):
-            return VerifyResult("bijections", False, f"g={g}: m outside [g/2+1, g+1]")
+            return False, f"g={g}: m outside [g/2+1, g+1]"
     for g in range(3, gmax_c + 1):
         for k in range(1, KMAX + 1):
             if g < 3 * k:
@@ -213,12 +207,10 @@ def verify_bijections(gmax=18):
             for m in range(k + 1, g + 2):
                 got.extend(_C_images(g, m, k))
             if len(got) != len(set(got)):
-                return VerifyResult("bijections", False, f"g={g} k={k}: images collide")
+                return False, f"g={g} k={k}: images collide"
             if set(got) != targets.get((g, k), set()):
-                return VerifyResult(
-                    "bijections", False, f"g={g} k={k}: images != C(k,g)"
-                )
-    return VerifyResult("bijections", True, f"B g<={gmax}; C g<={gmax_c} k<={KMAX}")
+                return False, f"g={g} k={k}: images != C(k,g)"
+    return True, f"B g<={gmax}; C g<={gmax_c} k<={KMAX}"
 
 
 def _sums(gmax):
@@ -247,23 +239,21 @@ def verify_e2_bounds(gmax=20):
         for m in range(2, g + 2):
             s = sums[g, m, 0][0]
             if s > polybounds.e2_bound_value(g, m):
-                return VerifyResult("e2-bounds", False, f"g={g} m={m}: per-m bound")
+                return False, f"g={g} m={m}: per-m bound"
             tot += s
         if tot > 2 * polybounds.fibonacci(g + 1):
-            return VerifyResult("e2-bounds", False, f"g={g}: sum > 2F(g+1)")
+            return False, f"g={g}: sum > 2F(g+1)"
     for g in range(3, gmax_c + 1):
         for k in range(1, KMAX + 1):
             tot = 0
             for m in range(k + 1, g + 2):
                 s = sums[g, m, k][0]
                 if s > polybounds.e2_bound_value_C(g, m, k):
-                    return VerifyResult(
-                        "e2-bounds", False, f"g={g} m={m} k={k}: per-m bound"
-                    )
+                    return False, f"g={g} m={m} k={k}: per-m bound"
                 tot += s
             if tot > 2 * polybounds.fibonacci(g + k):
-                return VerifyResult("e2-bounds", False, f"g={g} k={k}: sum > 2F(g+k)")
-    return VerifyResult("e2-bounds", True, f"B g<={gmax}; C g<={gmax_c} k<={KMAX}")
+                return False, f"g={g} k={k}: sum > 2F(g+k)"
+    return True, f"B g<={gmax}; C g<={gmax_c} k<={KMAX}"
 
 
 def verify_t2_equality(gmax=16):
@@ -275,10 +265,8 @@ def verify_t2_equality(gmax=16):
             lhs = sums[g, m, 0][2]
             rhs = polybounds.t2_big_value(g, m)
             if lhs != rhs:
-                return VerifyResult(
-                    "t2-equality", False, f"g={g} m={m}: {lhs} != {rhs}"
-                )
-    return VerifyResult("t2-equality", True, f"all (g,m), {gmin}<=g<={gmax}")
+                return False, f"g={g} m={m}: {lhs} != {rhs}"
+    return True, f"all (g,m), {gmin}<=g<={gmax}"
 
 
 def verify_t2_bounds(gmax=20):
@@ -290,10 +278,10 @@ def verify_t2_bounds(gmax=20):
         for m in range(2, g + 2):
             row = sums[g, m, 0]
             if row[3] > polybounds.t2_small_bound(g, m):
-                return VerifyResult("t2-bounds", False, f"g={g} m={m}: small bound")
+                return False, f"g={g} m={m}: small bound"
             t2tot += row[1]
         if t2tot > polybounds.fibonacci(g + 4):
-            return VerifyResult("t2-bounds", False, f"g={g}: sum t2 > F(g+4)")
+            return False, f"g={g}: sum t2 > F(g+4)"
     for g in range(3, gmax_c + 1):
         for k in range(1, KMAX + 1):
             t2tot = 0
@@ -301,17 +289,13 @@ def verify_t2_bounds(gmax=20):
                 row = sums[g, m, k]
                 big, small = polybounds.t2_bounds_C(g, m, k)
                 if row[2] > big:
-                    return VerifyResult(
-                        "t2-bounds", False, f"g={g} m={m} k={k}: big bound"
-                    )
+                    return False, f"g={g} m={m} k={k}: big bound"
                 if row[3] > small:
-                    return VerifyResult(
-                        "t2-bounds", False, f"g={g} m={m} k={k}: small bound"
-                    )
+                    return False, f"g={g} m={m} k={k}: small bound"
                 t2tot += row[1]
             if t2tot > polybounds.fibonacci(g + k + 3):
-                return VerifyResult("t2-bounds", False, f"g={g} k={k}: sum > F(g+k+3)")
-    return VerifyResult("t2-bounds", True, f"B g<={gmax}; C g<={gmax_c} k<={KMAX}")
+                return False, f"g={g} k={k}: sum > F(g+k+3)"
+    return True, f"B g<={gmax}; C g<={gmax_c} k<={KMAX}"
 
 
 def _deficits(gmax, i):
@@ -338,10 +322,8 @@ def verify_counting_m(gmax=22):
         for g in range(max(0, 4 * k + 3), gmax + 1):
             v = kunzcount.count_multiplicity_deficit(g, k)
             if v != by[g, k]:
-                return VerifyResult(
-                    "counting-m", False, f"g={g} k={k}: {v} != {by[g, k]}"
-                )
-    return VerifyResult("counting-m", True, f"k<={DMAX}, g<={gmax}")
+                return False, f"g={g} k={k}: {v} != {by[g, k]}"
+    return True, f"k<={DMAX}, g<={gmax}"
 
 
 def verify_counting_e(gmax=22):
@@ -355,12 +337,10 @@ def verify_counting_e(gmax=22):
                 warnings.simplefilter("ignore")
                 v = kunzcount.count_embedding_deficit(g, l)
             if v != by[g, l]:
-                return VerifyResult(
-                    "counting-e", False, f"g={g} l={l}: {v} != {by[g, l]}"
-                )
+                return False, f"g={g} l={l}: {v} != {by[g, l]}"
             if H(g) != v:
-                return VerifyResult("counting-e", False, f"g={g} l={l}: H_l mismatch")
-    return VerifyResult("counting-e", True, f"l<={DMAX}, g<={gmax}")
+                return False, f"g={g} l={l}: H_l mismatch"
+    return True, f"l<={DMAX}, g<={gmax}"
 
 
 def verify_membership(agg, mid_tol=0.15, low_frac=0.55, low_tol=0.05,
@@ -397,6 +377,6 @@ SUITES = {
 
 def run_suite(name, gmax=None):
     """Run one suite by name, at its default gmax unless one is given
-    (membership excluded)."""
+    (membership excluded), as the VerifyResult of its (ok, detail)."""
     fn = SUITES[name]
-    return fn() if gmax is None else fn(gmax)
+    return VerifyResult(name, *(fn() if gmax is None else fn(gmax)))

@@ -361,6 +361,27 @@ def test_cache_genus_mismatch_quarantined(tmp_path):
     assert cache_get(str(tmp_path), 6) == enumerate_genus(6)
 
 
+@pytest.mark.parametrize("content", [b"[]", b"null", b'"x"', b"1", b"\xff{"])
+def test_cache_file_not_a_json_object_quarantined(tmp_path, capsys, content):
+    # JSON that is not an object, or bytes that are not UTF-8, are unreadable
+    # like any file that does not parse: quarantined, then recomputed.
+    assert run(["stats", "--genus", "4"]) == 0
+    expected = capsys.readouterr().out
+    path = os.path.join(str(tmp_path), "genus-4.json")
+    with open(path, "wb") as fh:
+        fh.write(content)
+    with pytest.raises(CorruptCache, match="unreadable cache file quarantined"):
+        cache_get(str(tmp_path), 4)
+    assert not os.path.exists(path)
+    assert os.path.exists(path + ".corrupt")
+    with open(path, "wb") as fh:
+        fh.write(content)
+    assert run(["stats", "--genus", "4", "--cache-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert "warning: unreadable cache file quarantined" in captured.err
+
+
 def test_cache_used_by_stats(tmp_path, capsys):
     assert run(["stats", "--genus", "6", "--cache-dir", str(tmp_path), "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
