@@ -10,18 +10,17 @@ state is ``(mask, rev, m, F, eff, e, pf, alpha, g)``: the membership mask
 and its bit reversal in one width W, m, F, the effective generators (the
 minimal generators above F) as a mask, e, the pseudo-Frobenius numbers as a
 mask, the gap sum and the genus.  ``_children`` derives each child's state
-from its parent's in O(1) big-int steps.  Counting stops three levels early,
-by Fromentin and Hivert's rule: a node's children are its effective
-generators, and ``_levels`` derives its children's and grandchildren's from
-them by ``_children``'s rule (a child loses one when y + m = a + b), so a
-count to genus g walks to g - 3 and reads the last three levels, building
-no state.
+from its parent's in O(1) big-int steps.  Counting builds no state below a
+task's roots, by Fromentin and Hivert's rule: a node's children are its
+effective generators, and ``_levels`` derives each child's from them by
+``_children``'s rule (a child loses one when y + m = a + b), so it walks
+(mask, rev, m, eff) alone, to any depth.
 Statistics stop two levels early: every child is its parent plus one gap
 y > F (Bras-Amorós's tree), so ``Accumulator._add_grandchildren`` adds the
 last two levels from depth g - 2 without building a child.
 
-``_series`` is the one walk: a depth-first pre-order walk with an explicit
-stack.  Counting, statistics (``series_accumulators``, and through it
+``_series`` is the one walk of full states: a depth-first pre-order walk
+with an explicit stack.  Statistics (``series_accumulators``, and through it
 ``enumerate_genus``), ``iter_semigroups``, the split into tasks (``_tasks``)
 and every tree-walking verify suite read it.
 
@@ -99,34 +98,50 @@ def _children(state, top):
     return out
 
 
-def _levels(state, top):
-    """(children, grandchildren, great-grandchildren) of a kernel state, with
-    no child state built.  Each child's ``mask``, ``rev`` and effective
-    generators follow ``_children``'s rules; a child with k generators has
-    k(k+1)/2 grandchildren less the number of its generators y with
-    y + m = a + b, m < a, b < y (``_children``'s e - 1 test).  The ordinary
-    child O_{m+1} has m + 1 children and (m+1)(m+2)/2 - (m-1) + 1
-    grandchildren (m+3 .. 2m+1 drop).
+def _levels(state, top, n):
+    """The number of descendants of a kernel state at each of the n depths
+    below it, with no state built.  The walk keeps (mask, rev, m, eff, depth)
+    per node on a stack and follows ``_children``'s rules: a child's mask and
+    rev flip one bit, and it keeps the generators above y, plus y + m unless
+    y + m = a + b, m < a, b < y; the ordinary node's first child O_{m+1}, with
+    generators m+1 .. 2m+1, is pushed like any other.  A node three levels
+    above the bottom reads its children inline: a child with k generators has
+    k children and k(k+1)/2 grandchildren, less one per generator z of the
+    child with z + m = a + b (``_children``'s e - 1 test).
     """
-    mask, rev, m, _, eff, _, _, _, _ = state
-    n1, n2, n3 = eff.bit_count(), 0, 0
-    if eff >> m & 1:  # S is ordinary; its first child is O_{m+1}
-        eff ^= 1 << m
-        n2, n3 = m + 1, (m + 1) * (m + 2) // 2 - m + 2
-    window, shift = 2 << m, top + 1 - m
-    while eff:
-        low = eff & -eff
-        eff ^= low  # the generators above y, which the child keeps
-        c, r = mask ^ low, rev ^ (1 << (top + 1 - low.bit_length()))
-        kids = eff if c & (r >> (shift - low.bit_length())) & (low - window) else eff | low << m
-        k = kids.bit_count()
-        n2, n3 = n2 + k, n3 + k * (k + 1) // 2
-        while kids:
-            z = kids & -kids
-            kids ^= z
-            if c & (r >> (shift - z.bit_length())) & (z - window):
-                n3 -= 1
-    return n1, n2, n3
+    levels = [0] * n
+    stack = [(state[0], state[1], state[2], state[4], 0)] if n else []
+    push = stack.append
+    while stack:
+        mask, rev, m, eff, j = stack.pop()
+        levels[j] += eff.bit_count()
+        j += 1  # the children's depth
+        if j == n:
+            continue
+        if eff >> m & 1:  # S is ordinary; its first child is O_{m+1}
+            eff ^= 1 << m
+            push((mask ^ 1 << m, rev ^ 1 << (top - m), m + 1, ((1 << (m + 1)) - 1) << (m + 1), j))
+        inline, n2, n3 = j + 2 == n, 0, 0
+        window, shift = 2 << m, top + 1 - m
+        while eff:
+            low = eff & -eff
+            eff ^= low  # the generators above y, which the child keeps
+            c, r = mask ^ low, rev ^ (1 << (top + 1 - low.bit_length()))
+            kids = eff if c & (r >> (shift - low.bit_length())) & (low - window) else eff | low << m
+            if not inline:
+                push((c, r, m, kids, j))
+                continue
+            k = kids.bit_count()
+            n2, n3 = n2 + k, n3 + k * (k + 1) // 2
+            while kids:
+                z = kids & -kids
+                kids ^= z
+                if c & (r >> (shift - z.bit_length())) & (z - window):
+                    n3 -= 1
+        if inline:
+            levels[j] += n2
+            levels[j + 1] += n3
+    return levels
 
 
 def _series(gmax, roots=None, width=None):
@@ -146,24 +161,13 @@ def _series(gmax, roots=None, width=None):
 
 def _count_job(args):
     """Nodes per depth below one task's roots, which share their depth d, down
-    to the depth ``target`` the task stops at.
-
-    The walk stops at depth stop = max(d, target - 3); each state there adds
-    the first target - stop of its ``_levels`` to levels stop + 1 .. target.
+    to the depth ``target`` the task stops at: the roots at d, and the sum of
+    their ``_levels`` at d + 1 .. target.  No state below the roots is built.
     """
     roots, target, width = args
-    top = width - 1
-    stop = max(roots[0][8], target - 3)
-    levels = [0] * (stop + 4)  # three levels below stop, cut to target
-    for state in _series(stop, roots, width):
-        g = state[8]
-        levels[g] += 1
-        if g == stop < target:
-            n1, n2, n3 = _levels(state, top)
-            levels[g + 1] += n1
-            levels[g + 2] += n2
-            levels[g + 3] += n3
-    return levels[:target + 1]
+    d = roots[0][8]
+    below = zip(*(_levels(root, width - 1, target - d) for root in roots))
+    return [0] * d + [len(roots)] + [sum(n) for n in below]
 
 
 def _series_job(genera, args):

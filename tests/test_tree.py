@@ -119,28 +119,30 @@ def test_kernel_state_matches_from_scratch(depth, data):
 
 
 def test_grandchildren_are_the_childrens_generators():
-    # _levels against _children applied three times, in the width of a walk
-    # to genus 17, so that the third application stays inside the mask.
-    width = _width(17)
+    # _levels against _children applied n times, n = 0..4, in the width of a
+    # walk to genus 18, so that the fourth application stays inside the mask.
+    # The states include the ordinary chain's.
+    width = _width(18)
     top = width - 1
     for state in _series(14, width=width):
-        kids = _children(state, top)
-        grandkids = [k2 for k in kids for k2 in _children(k, top)]
-        want = (len(kids), len(grandkids), sum(len(_children(k, top)) for k in grandkids))
-        assert _levels(state, top) == want, state
+        level, want = [state], []
+        for n in range(5):
+            assert _levels(state, top, n) == want, (n, state)
+            level = [kid for s in level for kid in _children(s, top)]
+            want = want + [len(level)]
 
 
 def _count_full_walk(roots, target, width):
     """The levels of a walk that builds every state down to ``target``: the
-    reference for ``_count_job``, which walks to target - 3 and reads the
-    last three levels."""
+    reference for ``_count_job``, which builds no state below the roots and
+    reads every level below them from ``_levels``."""
     per_depth = Counter(s[8] for s in _series(target, roots, width))
     return [per_depth[d] for d in range(target + 1)]
 
 
 def test_count_job_at_each_root_depth():
-    # Roots at depth d walk to max(d, target - 3) and count the levels below
-    # from there.
+    # Roots at depth d count every level below them, d + 1 .. target, with
+    # ``_levels``.
     for target in range(13):
         width = _width(target)
         states = list(_series(target, width=width))
@@ -149,6 +151,21 @@ def test_count_job_at_each_root_depth():
             for roots in {tuple(at_d), tuple(at_d[:1]), tuple(at_d[1::2])} - {()}:
                 want = _count_full_walk(roots, target, width)
                 assert _count_job((roots, target, width)) == want, (target, d, roots)
+
+
+def test_count_job_of_each_task_is_a_full_walk():
+    # Every task of every 2-worker split, chain nodes and the root's tree
+    # above the split included, against the walk that builds each state.
+    for g in range(8, 15):
+        width = _width(g)
+        for d in range(g):
+            levels = [0] * (g + 1)
+            for roots, stop in tree._tasks(width, d, g, 2):
+                got = _count_job((roots, stop, width))
+                assert got == _count_full_walk(roots, stop, width), (g, d, roots[0])
+                for i, n in enumerate(got):
+                    levels[i] += n
+            assert levels == count_genus_series(g), (g, d)
 
 
 def test_add_children_is_add_of_each_child():
