@@ -315,6 +315,8 @@ class Accumulator:
             self.c_e_half += 1
         if 3 * e >= m:
             self.c_e_third += 1
+        # Only the gaps <= F: a mask may be narrower than the decile points.
+        key = ~mask & ((1 << (F + 1)) - 1) & self._decile_mask
         gaps = ~mask & (((1 << (F + 1)) - 1) >> 1)  # below F
         gb = self.gap_bytes
         j = 0
@@ -322,7 +324,6 @@ class Accumulator:
             gb[j + (gaps & 255)] += 1
             gaps >>= 8
             j += 256
-        key = ~mask & self._decile_mask
         self.decile_gaps[key] = self.decile_gaps.get(key, 0) + 1
 
     def _add_children(self, state, top):

@@ -21,16 +21,17 @@ last two levels from depth g - 2 without building a child.
 
 ``_series`` is the one walk of full states: a depth-first pre-order walk
 with an explicit stack.  Statistics (``series_accumulators``, and through it
-``enumerate_genus``), ``iter_semigroups``, the split into tasks (``_tasks``)
-and every tree-walking verify suite read it.
+``enumerate_genus``), ``iter_semigroups`` and every tree-walking verify suite
+read it.
 
-``_run`` is the one driver.  Parallel runs split the tree into tasks that
-hold every state exactly once (see ``_tasks``) and map them onto worker
-processes; a serial run is the one-task case, the root's whole tree walked
-in-process.  Either way the driver folds the tasks' results (level counts,
-or one Accumulator per requested genus, merged with ``merge_in``) and
-finalizes once, so the GenusAggregate is byte-identical whatever the worker
-count.  The first parallel run imports ``concurrent.futures``.
+``_run`` is the one driver.  Parallel runs split the tree by multiplicity
+into tasks that hold every state exactly once (see ``_tasks``) and map them
+onto worker processes; a serial run is the one-task case, the root's whole
+tree walked in-process.  Either way the driver folds the tasks' results
+(level counts, or one Accumulator per requested genus, merged with
+``merge_in``) and finalizes once, so the GenusAggregate is byte-identical
+whatever the worker count.  The first parallel run imports
+``concurrent.futures``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .errors import GenusTooLarge
 from .stats import Accumulator
 
 MAX_GENUS = 45
-DEFAULT_SPLIT_DEPTH = 14
 ProcessPoolExecutor = None  # _run's pool class; None for concurrent.futures'
 
 __all__ = [
@@ -202,60 +202,42 @@ def _series_job(genera, args):
     return {acc.genus: acc for acc in accs if acc is not None}
 
 
-def _tasks(width, depth, target, workers):
-    """Split the tree down to ``target`` into worker tasks, large ones first.
+def _tasks(width, target):
+    """Split the tree down to ``target`` into worker tasks by multiplicity
+    (Fromentin and Hivert's split along the ordinary chain).
 
     A task is a pair (roots, stop): kernel states of one depth, from which a
     worker resumes the walk, and the depth it stops at.  The tasks hold every
-    state of depth <= ``target`` exactly once.  The leftmost node at
-    ``depth`` is the ordinary semigroup O_{depth+1}; its subtree holds every
-    semigroup of multiplicity > depth, most of the tree at large genus
-    (90.6% of the leaves at genus 30 with depth 14), so it is split down the
-    ordinary chain: the children of O_k other than O_{k+1} (every other
-    semigroup of multiplicity k) make one large task each, and O_{target+1},
-    at depth ``target``, one more.  The other nodes at ``depth`` are dealt
-    round-robin into at most 8 x ``workers`` tasks, which spreads the large
-    subtrees at the left of the walk.  Each chain node O_{depth+1} ..
-    O_target is a task that stops at its own depth, and the root's tree
-    above ``depth`` is the last task.
+    state of depth <= ``target`` exactly once.  The first child of O_m is
+    always O_{m+1}; its other children (every other semigroup of multiplicity
+    m) make one task for each m, in ascending m; O_{target+1}, at depth
+    ``target``, one more; and each chain node O_1 .. O_target is a task that
+    stops at its own depth.
     """
-    frontier = [state for state in _series(depth, width=width) if state[8] == depth]
-    # Removing the multiplicity is always the first child, so the leftmost
-    # node is O_{depth+1}.
-    state, rest = frontier[0], frontier[1:]
-    n = min(8 * workers, len(rest))
-    small = [(tuple(rest[i::n]), target) for i in range(n)]
-    large, chain = [], []
-    for _ in range(depth, target):
+    state, large, chain = _root(width), [], []
+    for _ in range(target):
         chain.append(((state,), state[8]))
         state, *group = _children(state, width - 1)
         if group:
             large.append((tuple(group), target))
-    top = [((_root(width),), depth - 1)] if depth else []
-    return large + small + [((state,), target)] + chain + top
+    return large + [((state,), target)] + chain
 
 
-def _run(gmax, width, threads, split_depth, job, fold):
+def _run(gmax, width, threads, job, fold):
     """Call ``fold`` on the result of ``job`` for every task of a walk down to
-    ``gmax``; the tasks hold every state once (see ``_tasks``).
-
-    With one worker, or at genus 0, the run is one task, the root, walked in
-    this process.  Otherwise the tasks run in one process pool and are folded
-    in the order they complete, so ``fold`` must not depend on that order
-    (every job's fold is a sum).  The pool module is imported by the first
-    parallel run, never by a serial one.
+    ``gmax``.  With one worker, or at genus 0, the run is one task, the root,
+    walked in this process.  Otherwise the tasks of ``_tasks`` run in one
+    process pool and are folded in the order they complete, so ``fold`` must
+    not depend on that order (every job's fold is a sum).  The pool module is
+    imported by the first parallel run, never by a serial one.
     """
     if threads is not None and threads < 1:
         raise ValueError("threads must be positive")
     if gmax == 0 or threads is None or threads == 1:
         fold(job(((_root(width),), gmax, width)))
         return
-    if split_depth is None:
-        split_depth = min(DEFAULT_SPLIT_DEPTH, gmax - 1)
-    if not 0 <= split_depth < gmax:
-        raise ValueError("split_depth must satisfy 0 <= split_depth < target_genus")
     from concurrent.futures import ProcessPoolExecutor as pool_class, as_completed
-    tasks = _tasks(width, split_depth, gmax, threads)
+    tasks = _tasks(width, gmax)
     with (ProcessPoolExecutor or pool_class)(max_workers=threads) as pool:
         # as_completed lets go of each future it yields, so a result is held
         # only until it is folded.
@@ -263,12 +245,12 @@ def _run(gmax, width, threads, split_depth, job, fold):
             fold(future.result())
 
 
-def count_genus(g, threads=1, split_depth=None):
+def count_genus(g, threads=1):
     """N(g): the number of numerical semigroups of genus g."""
-    return count_genus_series(g, threads=threads, split_depth=split_depth)[g]
+    return count_genus_series(g, threads=threads)[g]
 
 
-def count_genus_series(gmax, threads=1, split_depth=None):
+def count_genus_series(gmax, threads=1):
     """[N(0), ..., N(gmax)] from a single tree walk."""
     width = _width(gmax)
     levels = [0] * (gmax + 1)
@@ -277,7 +259,7 @@ def count_genus_series(gmax, threads=1, split_depth=None):
         for d, n in enumerate(part):
             levels[d] += n
 
-    _run(gmax, width, threads, split_depth, _count_job, fold)
+    _run(gmax, width, threads, _count_job, fold)
     return levels
 
 
@@ -290,12 +272,12 @@ def iter_semigroups(g):
             yield SemigroupSet(state[0], width)
 
 
-def enumerate_genus(g, threads=1, split_depth=None):
+def enumerate_genus(g, threads=1):
     """Aggregate statistics over all semigroups of genus g."""
-    return series_accumulators((g,), threads, split_depth)[g].finalize()
+    return series_accumulators((g,), threads)[g].finalize()
 
 
-def series_accumulators(genera, threads=1, split_depth=None):
+def series_accumulators(genera, threads=1):
     """{g: Accumulator of genus g} for each g in ``genera``, not yet
     finalized, from a single tree walk down to the largest.
 
@@ -313,5 +295,5 @@ def series_accumulators(genera, threads=1, split_depth=None):
         for g, part in parts.items():
             accs[g].merge_in(part)
 
-    _run(gmax, width, threads, split_depth, job, fold)
+    _run(gmax, width, threads, job, fold)
     return accs

@@ -203,9 +203,9 @@ def test_figures_with_a_mixed_cache(tmp_path, capsys, monkeypatch):
     walks = []
     series = tree.series_accumulators
 
-    def spy(genera, threads=1, split_depth=None):
+    def spy(genera, threads=1):
         walks.append(sorted(genera))
-        return series(genera, threads, split_depth)
+        return series(genera, threads)
 
     monkeypatch.setattr(tree, "series_accumulators", spy)
     finished = []
@@ -249,9 +249,9 @@ def test_every_aggregate_takes_the_cached_series_path(tmp_path, capsys, monkeypa
     walks, finished = [], []
     series, per_genus = tree.series_accumulators, cli.enumerate_genus
 
-    def spy(genera, threads=1, split_depth=None):
+    def spy(genera, threads=1):
         walks.append(sorted(genera))
-        return series(genera, threads, split_depth)
+        return series(genera, threads)
 
     def each(genus, series):
         finished.append(genus)

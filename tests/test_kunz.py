@@ -17,7 +17,9 @@ from numsem.kunz import (
 )
 from numsem.stats import Accumulator
 from numsem.tree import (
+    MAX_GENUS,
     _series,
+    _series_job,
     _tasks,
     _width,
     count_genus_series,
@@ -85,21 +87,27 @@ def test_oracle_matches_tree():
     assert series[:8] == [1, 1, 2, 4, 7, 12, 23, 39]
 
 
-def _kunz_aggregate(g):
-    """The genus-g aggregate without the tree: each Kunz vector x gives the
-    gaps {q*m + i : q < x_i} and F = max((x_i - 1)*m + i), and the
-    from-scratch ``add_leaf`` counts the rest."""
-    width = _width(g)
+def _add_kunz_leaves(acc, m, g, width):
+    """``add_leaf`` of every semigroup of multiplicity m and genus g, without
+    the tree: each Kunz vector x gives the gaps {q*m + i : q < x_i} and
+    F = max((x_i - 1)*m + i), and the from-scratch ``add_leaf`` counts the
+    rest, from a mask of the walk's ``width``."""
     full = (1 << width) - 1
+    for kv in enumerate_kunz_vectors(m, g):
+        gaps, F = 0, -1
+        for i, x in enumerate(kv.coords, 1):
+            for q in range(x):
+                gaps |= 1 << (q * m + i)
+            F = max(F, (x - 1) * m + i)
+        acc.add_leaf(full ^ gaps, m, F)
+
+
+def _kunz_aggregate(g):
+    """The genus-g aggregate without the tree."""
+    width = _width(g)
     acc = Accumulator(g, width)
     for m in range(1, g + 2):
-        for kv in enumerate_kunz_vectors(m, g):
-            gaps, F = 0, -1
-            for i, x in enumerate(kv.coords, 1):
-                for q in range(x):
-                    gaps |= 1 << (q * m + i)
-                F = max(F, (x - 1) * m + i)
-            acc.add_leaf(full ^ gaps, m, F)
+        _add_kunz_leaves(acc, m, g, width)
     return acc.finalize()
 
 
@@ -112,19 +120,37 @@ def test_kunz_aggregates_match_the_walk():
 
 
 def test_depth_0_split_is_the_multiplicity_split():
-    # Every state of a task of the split at depth 0 has its roots'
+    # Every state of a task of the multiplicity split has its roots'
     # multiplicity, and the tasks of multiplicity m hold as many states of
     # depth g as there are Kunz vectors of (m, g), which walk no tree.
     for g in range(15):
         width = _width(g)
         per_m = Counter()
-        for roots, stop in _tasks(width, 0, g, 1):
+        for roots, stop in _tasks(width, g):
             m = roots[0][2]
             for state in _series(stop, roots, width):
                 assert state[2] == m, (g, state)
                 per_m[m] += state[8] == g
         kunz_counts = {m: len(enumerate_kunz_vectors(m, g)) for m in range(1, g + 2)}
         assert per_m == Counter(kunz_counts), g
+
+
+def test_multiplicity_tasks_above_genus_30_are_the_kunz_slices():
+    # The multiplicity-m task of the split (the children of O_m other than
+    # O_{m+1}) at its last three genera, up to MAX_GENUS, against add_leaf
+    # over the Kunz vectors of (m, h), which walk no tree.  Wider masks and
+    # larger F than any other test reaches.
+    for g, ms in ((30, range(3, 8)), (MAX_GENUS, range(3, 7))):
+        width = _width(g)
+        genera = {g - 2, g - 1, g}
+        tasks = {roots[0][2]: roots for roots, stop in _tasks(width, g) if stop == g}
+        for m in ms:
+            accs = _series_job(genera, (tasks[m], g, width))
+            for h in genera:
+                want = Accumulator(h, width)
+                _add_kunz_leaves(want, m, h, width)
+                got = accs[h].finalize().canonical_bytes()
+                assert got == want.finalize().canonical_bytes(), (g, m, h)
 
 
 def test_backtracker_agrees_with_filter():

@@ -13,12 +13,14 @@ from numsem.errors import (
     UnknownPredicate,
     UntrackedElement,
 )
-from numsem.core import minimal_generators, pseudo_frobenius
+from numsem.core import minimal_generators, pseudo_frobenius, semigroup_from_gaps
+from numsem.kunz import enumerate_kunz_vectors
 from numsem.stats import (
     GAMMA,
     K_MAX,
     PHI,
     SQRT5,
+    Accumulator,
     GenusAggregate,
     expectation,
     f1,
@@ -29,7 +31,7 @@ from numsem.stats import (
     proportion,
     variance,
 )
-from numsem.tree import enumerate_genus, iter_semigroups
+from numsem.tree import _width, enumerate_genus, iter_semigroups
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +163,22 @@ def test_membership_and_pair_miss_match_brute_force():
     # genus.
     for g in range(17):
         assert enumerate_genus(g).to_dict() == _reference_aggregate(g), g
+
+
+def test_add_leaf_does_not_depend_on_the_mask_width():
+    # semigroup_from_gaps builds a mask of width F + 2m + 2, which for a small
+    # multiplicity ends below the largest decile point (about 1.8g); its
+    # missing high bits are not gaps.
+    for g in range(20, 25):
+        width = _width(g)
+        narrow, wide = Accumulator(g, width), Accumulator(g, width)
+        for m in (3, 4):
+            for kv in enumerate_kunz_vectors(m, g):
+                gaps = {q * m + i for i, x in enumerate(kv.coords, 1) for q in range(x)}
+                S = semigroup_from_gaps(gaps)
+                narrow.add_leaf(S.mask, m, S.frobenius)
+                wide.add_leaf(((1 << width) - 1) ^ sum(1 << n for n in gaps), m, S.frobenius)
+        assert narrow.finalize().canonical_bytes() == wide.finalize().canonical_bytes(), g
 
 
 def test_pair_miss(agg8):

@@ -154,18 +154,17 @@ def test_count_job_at_each_root_depth():
 
 
 def test_count_job_of_each_task_is_a_full_walk():
-    # Every task of every 2-worker split, chain nodes and the root's tree
-    # above the split included, against the walk that builds each state.
+    # Every task of the multiplicity split, chain nodes included, against the
+    # walk that builds each state.
     for g in range(8, 15):
         width = _width(g)
-        for d in range(g):
-            levels = [0] * (g + 1)
-            for roots, stop in tree._tasks(width, d, g, 2):
-                got = _count_job((roots, stop, width))
-                assert got == _count_full_walk(roots, stop, width), (g, d, roots[0])
-                for i, n in enumerate(got):
-                    levels[i] += n
-            assert levels == count_genus_series(g), (g, d)
+        levels = [0] * (g + 1)
+        for roots, stop in tree._tasks(width, g):
+            got = _count_job((roots, stop, width))
+            assert got == _count_full_walk(roots, stop, width), (g, roots[0])
+            for i, n in enumerate(got):
+                levels[i] += n
+        assert levels == count_genus_series(g), g
 
 
 def test_add_children_is_add_of_each_child():
@@ -237,27 +236,22 @@ def test_fibonacci_like_growth():
 
 def test_partition_property_any_split_depth():
     base = enumerate_genus(9, threads=1)
-    for depth in (1, 3, 5, 8):
-        agg = enumerate_genus(9, threads=2, split_depth=depth)
-        assert agg.canonical_bytes() == base.canonical_bytes()
+    agg = enumerate_genus(9, threads=2)
+    assert agg.canonical_bytes() == base.canonical_bytes()
 
 
 def test_parallel_counts_match():
-    assert count_genus_series(14, threads=4, split_depth=7) == count_genus_series(14)
+    assert count_genus_series(14, threads=4) == count_genus_series(14)
 
 
 def test_parallel_matches_serial_at_every_split_depth():
-    # split_depth g - 1 puts the frontier where counting stops; every plan
-    # has a task rooted at depth g (O_{g+1}).
+    # Every split has a task rooted at depth g (O_{g+1}), where counting
+    # stops.
     for g in range(1, 11):
-        serial = count_genus_series(g)
-        for d in range(g):
-            assert count_genus_series(g, threads=2, split_depth=d) == serial, (g, d)
+        assert count_genus_series(g, threads=2) == count_genus_series(g), g
     for g in range(1, 9):
-        serial = enumerate_genus(g).canonical_bytes()
-        for d in range(g):
-            agg = enumerate_genus(g, threads=2, split_depth=d)
-            assert agg.canonical_bytes() == serial, (g, d)
+        agg = enumerate_genus(g, threads=2)
+        assert agg.canonical_bytes() == enumerate_genus(g).canonical_bytes(), g
 
 
 def test_tasks_partition_the_tree():
@@ -265,22 +259,20 @@ def test_tasks_partition_the_tree():
     # _run folds a state of its own.
     for g in range(1, 13):
         width = _width(g)
-        for d in range(g):
-            for workers in (1, 2, 4):
-                levels, masks = [0] * (g + 1), set()
-                for roots, stop in tree._tasks(width, d, g, workers):
-                    assert len({state[8] for state in roots}) == 1
-                    assert roots[0][8] <= stop <= g, (g, d, workers)
-                    for state in _series(stop, roots, width):
-                        assert state[0] not in masks, (g, d, workers)
-                        masks.add(state[0])
-                        levels[state[8]] += 1
-                assert levels == count_genus_series(g), (g, d, workers)
+        levels, masks = [0] * (g + 1), set()
+        for roots, stop in tree._tasks(width, g):
+            assert len({state[8] for state in roots}) == 1
+            assert roots[0][8] <= stop <= g, g
+            for state in _series(stop, roots, width):
+                assert state[0] not in masks, g
+                masks.add(state[0])
+                levels[state[8]] += 1
+        assert levels == count_genus_series(g), g
 
 
-def _series_bytes(genera, threads=1, split_depth=None):
+def _series_bytes(genera, threads=1):
     """canonical_bytes of each aggregate of a series walk, by genus."""
-    accs = series_accumulators(genera, threads, split_depth)
+    accs = series_accumulators(genera, threads)
     return {g: acc.finalize().canonical_bytes() for g, acc in accs.items()}
 
 
@@ -315,7 +307,7 @@ def shared_pool(two_workers, monkeypatch):
 
 def test_series_is_the_per_genus_aggregates(shared_pool):
     # One walk for every genus up to G, or for a few genera only, serial and
-    # at every 2-worker split, gives enumerate_genus's bytes and accumulates
+    # with 2 workers, gives enumerate_genus's bytes and accumulates
     # no other depth; counts are the count series'.
     per_genus = {g: enumerate_genus(g).canonical_bytes() for g in range(17)}
     for G in range(17):
@@ -324,13 +316,12 @@ def test_series_is_the_per_genus_aggregates(shared_pool):
     for genera in [range(G + 1) for G in range(17)] + [{12}, {1, 12}, {3, 7, 8}, {0, 5}]:
         want = {g: per_genus[g] for g in genera}
         assert _series_bytes(genera) == want, genera
-        for d in range(max(genera)):
-            assert _series_bytes(genera, 2, d) == want, (genera, d)
+        assert _series_bytes(genera, 2) == want, genera
 
 
 def test_two_level_stop_is_the_from_scratch_fold(shared_pool):
-    # The genera sets that reach the walk's last two levels, serial and at
-    # every 2-worker split, against add_leaf folded over iter_semigroups.
+    # The genera sets that reach the walk's last two levels, serial and with
+    # 2 workers, against add_leaf folded over iter_semigroups.
     folded = {}
     for g in range(13):
         acc = Accumulator(g, _width(g))
@@ -343,8 +334,7 @@ def test_two_level_stop_is_the_from_scratch_fold(shared_pool):
     for genera in sorted(sets, key=sorted):
         want = {g: folded[g] for g in genera}
         assert _series_bytes(genera) == want, genera
-        for d in range(max(genera)):
-            assert _series_bytes(genera, 2, d) == want, (genera, d)
+        assert _series_bytes(genera, 2) == want, genera
 
 
 def test_series_edge_cases(monkeypatch):
@@ -354,8 +344,8 @@ def test_series_edge_cases(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(tree, "ProcessPoolExecutor", no_pool)
         assert _series_bytes([0], threads=2) == {0: enumerate_genus(0).canonical_bytes()}
-    # Genus 1 splits at depth 0: the root is the only chain node, and O_2
-    # the only task.
+    # At genus 1 the root is the only chain node, and O_2 the only other
+    # task.
     assert _series_bytes([0, 1], threads=2) == {
         g: enumerate_genus(g).canonical_bytes() for g in (0, 1)
     }
@@ -369,14 +359,14 @@ def test_genus_24_aggregate_digest():
 
 
 def test_parallel_counts_match_at_default_split_depth():
-    # The frontier mixes depths once the ordinary chain is split below it.
+    # The tasks' roots lie at every depth of the ordinary chain.
     assert count_genus_series(20, threads=2) == count_genus_series(20)
 
 
 def test_merge_of_subtree_aggregates():
-    # splitting at two different depths yields the same merged aggregate
-    a = enumerate_genus(8, threads=2, split_depth=2)
-    b = enumerate_genus(8, threads=2, split_depth=6)
+    # the merged aggregate of the 2-worker split is the serial one
+    a = enumerate_genus(8, threads=2)
+    b = enumerate_genus(8, threads=1)
     assert a == b
     assert merge(a, type(a).empty(8)) == a
 
@@ -394,13 +384,6 @@ def test_recursion_limit_unchanged():
         assert sys.getrecursionlimit() == limit
     finally:
         sys.setrecursionlimit(old)
-
-
-def test_plan_validation():
-    with pytest.raises(ValueError):
-        count_genus(5, threads=2, split_depth=5)
-    with pytest.raises(ValueError):
-        enumerate_genus(5, threads=2, split_depth=-1)
 
 
 def test_threads_below_one_are_rejected():

@@ -1,5 +1,5 @@
 """The verify suites' shortcuts against their plain definitions: the counting
-tally that walks each multiplicity's task of the depth-0 split only as deep
+tally that walks each multiplicity's task of the split only as deep
 as a deficit of at most DMAX reaches, and the e split and the weight of
 core-invariants' one from-scratch pass, which must be able to fail."""
 
