@@ -327,16 +327,12 @@ class Accumulator:
         self.decile_gaps[key] = self.decile_gaps.get(key, 0) + 1
 
     def _add_children(self, state, top):
-        """``_add`` of every child of a tree kernel state one level above the
-        genus (the children of ``tree._children``), read from the parent
-        without building a child: the ordinary child through ``_add``, the
-        others through ``_leaves``.  Their gaps below their Frobenius numbers
-        are the parent's, whose bytes count once per child."""
+        """``_add`` of every child of a tree kernel state that is not
+        ordinary, one level above the genus (the children of
+        ``tree._children``), read from the parent through ``_leaves`` without
+        building a child.  Their gaps below their Frobenius numbers are the
+        parent's, whose bytes count once per child."""
         mask, rev, m, F, eff, e, pf, alpha, _ = state
-        if eff >> m & 1:  # S is ordinary; its first child is O_{m+1}
-            t = 1 + (pf & ~(rev >> (top - m))).bit_count()
-            self._add(mask ^ 1 << m, m + 1, m, m + 1, t, alpha + m)
-            eff ^= 1 << m
         if not eff:
             return
         g = self.genus

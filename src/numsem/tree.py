@@ -24,14 +24,14 @@ with an explicit stack.  Statistics (``series_accumulators``, and through it
 ``enumerate_genus``), ``iter_semigroups`` and every tree-walking verify suite
 read it.
 
-``_run`` is the one driver.  Parallel runs split the tree by multiplicity
-into tasks that hold every state exactly once (see ``_tasks``) and map them
-onto worker processes; a serial run is the one-task case, the root's whole
-tree walked in-process.  Either way the driver folds the tasks' results
-(level counts, or one Accumulator per requested genus, merged with
-``merge_in``) and finalizes once, so the GenusAggregate is byte-identical
-whatever the worker count.  The first parallel run imports
-``concurrent.futures``.
+``_run`` is the one driver.  Every run splits the tree by multiplicity into
+tasks that hold every state exactly once, with no ordinary state below a
+task's roots (see ``_tasks``).  A serial run folds them all in one job call
+in this process; a parallel run maps them, one per job, onto worker
+processes.  Either way the driver folds the jobs' results (level counts, or
+one Accumulator per requested genus, merged with ``merge_in``) and finalizes
+once, so the GenusAggregate is byte-identical whatever the worker count.
+The first parallel run imports ``concurrent.futures``.
 """
 
 from __future__ import annotations
@@ -100,14 +100,14 @@ def _children(state, top):
 
 def _levels(state, top, n):
     """The number of descendants of a kernel state at each of the n depths
-    below it, with no state built.  The walk keeps (mask, rev, m, eff, depth)
-    per node on a stack and follows ``_children``'s rules: a child's mask and
-    rev flip one bit, and it keeps the generators above y, plus y + m unless
-    y + m = a + b, m < a, b < y; the ordinary node's first child O_{m+1}, with
-    generators m+1 .. 2m+1, is pushed like any other.  A node three levels
-    above the bottom reads its children inline: a child with k generators has
-    k children and k(k+1)/2 grandchildren, less one per generator z of the
-    child with z + m = a + b (``_children``'s e - 1 test).
+    below it, with no state built.  For n > 0 the state must not be ordinary,
+    and then no state below it is: they keep its m.  The walk keeps (mask,
+    rev, m, eff, depth) per node on a stack and follows ``_children``'s
+    rules: a child's mask and rev flip one bit, and it keeps the generators
+    above y, plus y + m unless y + m = a + b, m < a, b < y.  A node three
+    levels above the bottom reads its children inline: a child with k
+    generators has k children and k(k+1)/2 grandchildren, less one per
+    generator z of the child with z + m = a + b (``_children``'s e - 1 test).
     """
     levels = [0] * n
     stack = [(state[0], state[1], state[2], state[4], 0)] if n else []
@@ -118,9 +118,6 @@ def _levels(state, top, n):
         j += 1  # the children's depth
         if j == n:
             continue
-        if eff >> m & 1:  # S is ordinary; its first child is O_{m+1}
-            eff ^= 1 << m
-            push((mask ^ 1 << m, rev ^ 1 << (top - m), m + 1, ((1 << (m + 1)) - 1) << (m + 1), j))
         inline, n2, n3 = j + 2 == n, 0, 0
         window, shift = 2 << m, top + 1 - m
         while eff:
@@ -160,46 +157,50 @@ def _series(gmax, roots=None, width=None):
 
 
 def _count_job(args):
-    """Nodes per depth below one task's roots, which share their depth d, down
-    to the depth ``target`` the task stops at: the roots at d, and the sum of
-    their ``_levels`` at d + 1 .. target.  No state below the roots is built.
+    """Nodes per depth below a batch of tasks (roots, stop) of ``_tasks``:
+    each task's roots, which share their depth d, at d, and the sum of their
+    ``_levels`` at d + 1 .. stop.  No state below the roots is built.
     """
-    roots, target, width = args
-    d = roots[0][8]
-    below = zip(*(_levels(root, width - 1, target - d) for root in roots))
-    return [0] * d + [len(roots)] + [sum(n) for n in below]
+    tasks, width = args
+    levels = [0] * (max(stop for _, stop in tasks) + 1)
+    for roots, stop in tasks:
+        d = roots[0][8]
+        levels[d] += len(roots)
+        for root in roots:
+            for j, n in enumerate(_levels(root, width - 1, stop - d), d + 1):
+                levels[j] += n
+    return levels
 
 
 def _series_job(genera, args):
-    """{g: Accumulator} for each depth g in ``genera`` that the walk below one
-    task's roots (which share their depth d) reaches; no other state is
-    accumulated.  ``target`` is the depth the task stops at.
+    """{g: Accumulator} for each depth g in ``genera`` that the walks below a
+    batch of tasks (roots, stop) of ``_tasks`` reach, shared by the batch's
+    tasks; no other state is accumulated.
 
-    The walk stops at depth max(d, target - 2), and only the roots go through
-    ``_add``.  Each walked state below ``target`` adds its children to the
-    next genus (``_add_children``), and each at target - 2 its grandchildren
-    to ``target``, when that genus is requested; the ordinary state there
-    builds its children with ``_children``, which holds that rule alone.
+    A task's walk below its roots (which share their depth d) stops at depth
+    max(d, stop - 2), and only the roots go through ``_add``.  Each walked
+    state below ``stop`` adds its children to the next genus
+    (``_add_children``), and each at stop - 2 its grandchildren to ``stop``
+    (``_add_grandchildren``), when that genus is requested.  No state below
+    a task's roots is ordinary, so ``_children`` alone holds that rule.
     """
-    roots, target, width = args
+    tasks, width = args
     top = width - 1
-    base = roots[0][8]
-    accs = [Accumulator(g, width) if g in genera else None for g in range(base, target + 1)]
-    if accs[0] is not None:
-        for mask, _, m, F, _, e, pf, alpha, _ in roots:
-            accs[0]._add(mask, m, F, e, pf.bit_count(), alpha)
-    last = accs[-1]
-    for state in _series(max(base, target - 2), roots, width):
-        g = state[8]
-        if g < target and accs[g + 1 - base] is not None:
-            accs[g + 1 - base]._add_children(state, top)
-        if g == target - 2 and last is not None:
-            if state[4] >> state[2] & 1:  # ordinary: m is an effective generator
-                for kid in _children(state, top):
-                    last._add_children(kid, top)
-            else:
+    accs = {g: Accumulator(g, width) for g in genera if any(r[0][8] <= g <= s for r, s in tasks)}
+    for roots, stop in tasks:
+        base = roots[0][8]
+        run = [accs.get(g) for g in range(base, stop + 1)]
+        if run[0] is not None:
+            for mask, _, m, F, _, e, pf, alpha, _ in roots:
+                run[0]._add(mask, m, F, e, pf.bit_count(), alpha)
+        last = run[-1]
+        for state in _series(max(base, stop - 2), roots, width):
+            g = state[8]
+            if g < stop and run[g + 1 - base] is not None:
+                run[g + 1 - base]._add_children(state, top)
+            if g == stop - 2 and last is not None:
                 last._add_grandchildren(state, top)
-    return {acc.genus: acc for acc in accs if acc is not None}
+    return accs
 
 
 def _tasks(width, target):
@@ -212,7 +213,7 @@ def _tasks(width, target):
     always O_{m+1}; its other children (every other semigroup of multiplicity
     m) make one task for each m, in ascending m; O_{target+1}, at depth
     ``target``, one more; and each chain node O_1 .. O_target is a task that
-    stops at its own depth.
+    stops at its own depth.  So no state below a task's roots is ordinary.
     """
     state, large, chain = _root(width), [], []
     for _ in range(target):
@@ -224,24 +225,24 @@ def _tasks(width, target):
 
 
 def _run(gmax, width, threads, job, fold):
-    """Call ``fold`` on the result of ``job`` for every task of a walk down to
-    ``gmax``.  With one worker, or at genus 0, the run is one task, the root,
-    walked in this process.  Otherwise the tasks of ``_tasks`` run in one
-    process pool and are folded in the order they complete, so ``fold`` must
-    not depend on that order (every job's fold is a sum).  The pool module is
-    imported by the first parallel run, never by a serial one.
+    """Call ``fold`` on the result of ``job`` for the tasks of ``_tasks`` down
+    to ``gmax``: on one batch of them all, in this process, with one worker
+    or at genus 0; else on one batch per task, run in one process pool and
+    folded in the order they complete, so ``fold`` must not depend on that
+    order (every job's fold is a sum).  The pool module is imported by the
+    first parallel run, never by a serial one.
     """
     if threads is not None and threads < 1:
         raise ValueError("threads must be positive")
+    tasks = _tasks(width, gmax)
     if gmax == 0 or threads is None or threads == 1:
-        fold(job(((_root(width),), gmax, width)))
+        fold(job((tasks, width)))
         return
     from concurrent.futures import ProcessPoolExecutor as pool_class, as_completed
-    tasks = _tasks(width, gmax)
     with (ProcessPoolExecutor or pool_class)(max_workers=threads) as pool:
         # as_completed lets go of each future it yields, so a result is held
         # only until it is folded.
-        for future in as_completed([pool.submit(job, (roots, stop, width)) for roots, stop in tasks]):
+        for future in as_completed([pool.submit(job, ((task,), width)) for task in tasks]):
             fold(future.result())
 
 
@@ -281,11 +282,12 @@ def series_accumulators(genera, threads=1):
     """{g: Accumulator of genus g} for each g in ``genera``, not yet
     finalized, from a single tree walk down to the largest.
 
-    Only the states of those depths are accumulated.  Each task keeps one
-    Accumulator per such depth it reaches, and the driver merges them, so
-    the bytes do not depend on the worker count.
+    Only the states of those depths are accumulated.  Each job keeps one
+    Accumulator per such depth its tasks reach, and the driver merges them,
+    so the bytes do not depend on the worker count.
     """
     genera = frozenset(genera)
+    _width(min(genera))  # a negative genus fails here, before the walk
     gmax = max(genera)
     width = _width(gmax)
     job = partial(_series_job, genera)

@@ -119,7 +119,7 @@ def test_kunz_aggregates_match_the_walk():
         assert _kunz_aggregate(g).canonical_bytes() == enumerate_genus(g).canonical_bytes(), g
 
 
-def test_depth_0_split_is_the_multiplicity_split():
+def test_multiplicity_tasks_hold_the_kunz_counts():
     # Every state of a task of the multiplicity split has its roots'
     # multiplicity, and the tasks of multiplicity m hold as many states of
     # depth g as there are Kunz vectors of (m, g), which walk no tree.
@@ -145,7 +145,7 @@ def test_multiplicity_tasks_above_genus_30_are_the_kunz_slices():
         genera = {g - 2, g - 1, g}
         tasks = {roots[0][2]: roots for roots, stop in _tasks(width, g) if stop == g}
         for m in ms:
-            accs = _series_job(genera, (tasks[m], g, width))
+            accs = _series_job(genera, (((tasks[m], g),), width))
             for h in genera:
                 want = Accumulator(h, width)
                 _add_kunz_leaves(want, m, h, width)

@@ -91,6 +91,12 @@ def test_genus_too_large():
         enumerate_genus(MAX_GENUS + 1)
 
 
+def test_series_rejects_a_negative_genus():
+    # Before the walk, with _width's message, whatever the largest genus.
+    with pytest.raises(ValueError, match="genus must be nonnegative"):
+        series_accumulators({-1, 5})
+
+
 def _bits(ns):
     return sum(1 << n for n in ns)
 
@@ -121,10 +127,12 @@ def test_kernel_state_matches_from_scratch(depth, data):
 def test_grandchildren_are_the_childrens_generators():
     # _levels against _children applied n times, n = 0..4, in the width of a
     # walk to genus 18, so that the fourth application stays inside the mask.
-    # The states include the ordinary chain's.
+    # No task of the split walks below an ordinary state.
     width = _width(18)
     top = width - 1
     for state in _series(14, width=width):
+        if state[4] >> state[2] & 1:
+            continue
         level, want = [state], []
         for n in range(5):
             assert _levels(state, top, n) == want, (n, state)
@@ -142,37 +150,43 @@ def _count_full_walk(roots, target, width):
 
 def test_count_job_at_each_root_depth():
     # Roots at depth d count every level below them, d + 1 .. target, with
-    # ``_levels``.
+    # ``_levels``.  No task of the split has an ordinary root above its stop.
     for target in range(13):
         width = _width(target)
         states = list(_series(target, width=width))
         for d in range(target + 1):
-            at_d = [s for s in states if s[8] == d]
+            at_d = [s for s in states if s[8] == d and not s[4] >> s[2] & 1]
             for roots in {tuple(at_d), tuple(at_d[:1]), tuple(at_d[1::2])} - {()}:
                 want = _count_full_walk(roots, target, width)
-                assert _count_job((roots, target, width)) == want, (target, d, roots)
+                assert _count_job((((roots, target),), width)) == want, (target, d, roots)
 
 
 def test_count_job_of_each_task_is_a_full_walk():
     # Every task of the multiplicity split, chain nodes included, against the
-    # walk that builds each state.
+    # walk that builds each state; and one batch of all the tasks, the serial
+    # run, against their sum.
     for g in range(8, 15):
         width = _width(g)
         levels = [0] * (g + 1)
-        for roots, stop in tree._tasks(width, g):
-            got = _count_job((roots, stop, width))
+        tasks = tree._tasks(width, g)
+        for roots, stop in tasks:
+            got = _count_job((((roots, stop),), width))
             assert got == _count_full_walk(roots, stop, width), (g, roots[0])
             for i, n in enumerate(got):
                 levels[i] += n
         assert levels == count_genus_series(g), g
+        assert _count_job((tasks, width)) == levels, g
 
 
 def test_add_children_is_add_of_each_child():
     # The batched add of the statistics walk's last level against the
-    # reference: _add of every child that _children builds.
+    # reference: _add of every child that _children builds.  No task of the
+    # split walks below an ordinary state.
     width = _width(16)
     top = width - 1
     for state in _series(15, width=width):
+        if state[4] >> state[2] & 1:
+            continue
         batched, each = Accumulator(state[8] + 1, width), Accumulator(state[8] + 1, width)
         batched._add_children(state, top)
         for mask, _, m, F, _, e, pf, alpha, _ in _children(state, top):
@@ -182,8 +196,8 @@ def test_add_children_is_add_of_each_child():
 
 def test_add_grandchildren_is_add_of_each_grandchild():
     # The batched add of the statistics walk's last two levels against the
-    # reference: _add of every grandchild that _children builds twice.  The
-    # walk builds the ordinary state's children instead.
+    # reference: _add of every grandchild that _children builds twice.  No
+    # task of the split walks below an ordinary state.
     width = _width(16)
     top = width - 1
     for state in _series(14, width=width):
@@ -234,7 +248,7 @@ def test_fibonacci_like_growth():
         assert series[g - 1] + series[g - 2] <= series[g]
 
 
-def test_partition_property_any_split_depth():
+def test_parallel_aggregate_matches_serial_at_genus_9():
     base = enumerate_genus(9, threads=1)
     agg = enumerate_genus(9, threads=2)
     assert agg.canonical_bytes() == base.canonical_bytes()
@@ -244,7 +258,7 @@ def test_parallel_counts_match():
     assert count_genus_series(14, threads=4) == count_genus_series(14)
 
 
-def test_parallel_matches_serial_at_every_split_depth():
+def test_parallel_matches_serial_at_every_small_genus():
     # Every split has a task rooted at depth g (O_{g+1}), where counting
     # stops.
     for g in range(1, 11):
@@ -264,6 +278,10 @@ def test_tasks_partition_the_tree():
             assert len({state[8] for state in roots}) == 1
             assert roots[0][8] <= stop <= g, g
             for state in _series(stop, roots, width):
+                # No state below a task's roots is ordinary, and a task
+                # rooted at an ordinary state stops at its depth.
+                if state[4] >> state[2] & 1:
+                    assert state[8] == roots[0][8] == stop, (g, state[8], stop)
                 assert state[0] not in masks, g
                 masks.add(state[0])
                 levels[state[8]] += 1
@@ -358,7 +376,7 @@ def test_genus_24_aggregate_digest():
     assert digest == "72c38a053983e9ed610f49a8bc5393a99f6259c64d72c218d3e152a99f2bfca7"
 
 
-def test_parallel_counts_match_at_default_split_depth():
+def test_parallel_counts_match_at_genus_20():
     # The tasks' roots lie at every depth of the ordinary chain.
     assert count_genus_series(20, threads=2) == count_genus_series(20)
 
