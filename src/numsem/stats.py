@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from .core import _bit_positions, _leaf, _windows
 from .errors import (
@@ -34,7 +33,6 @@ K_MAX = 10  # F - 2m classes tracked individually; larger go to one overflow buc
 
 _MOMENT_KEYS = ("e", "e1", "e2", "t", "t1", "t2", "w", "alpha", "w2", "alpha2")
 _HIST_KEYS = ("m", "F", "e", "e1", "e2", "t", "t1", "t2", "w", "fdiff")
-_OWN_HIST_KEYS = ("e", "e1", "e2", "w")  # the histograms an Accumulator keeps as such
 BAND_PREDICATES = ("e_band", "t_band", "w_band", "m_band", "fdiff_band")
 
 
@@ -256,35 +254,35 @@ def figure_data(figure_id, aggregates, g_range, epsilons=None):
     return rows
 
 
-_own_hists = itemgetter(*_OWN_HIST_KEYS)
 _BYTE_OFFSETS = range(0, 256 * 12, 256)  # of gap bytes 0 .. 11, below 96 > 2 * tree.MAX_GENUS
 
 
 class Accumulator:
     """Mutable statistics sink of one task; finalize() yields a GenusAggregate.
 
-    add_leaf only counts (joint counts and histograms, two counters, gap
-    bytes per offset, gap sets among the decile points) and finalize derives
-    the rest, so a parallel run folds its tasks' accumulators with merge_in
-    and finalizes once.  The counts do not depend on ``capacity``, the walk's
+    add_leaf only counts (joint counts, the histogram of w, gap bytes per
+    offset, gap sets among the decile points) and finalize derives the rest,
+    so a parallel run merges its tasks' accumulators with merge_in and
+    finalizes once.  The counts do not depend on ``capacity``, the walk's
     mask width.  Not thread-safe; each task owns one.
     """
 
     def __init__(self, genus, capacity):
         g = genus
         self.genus = g
-        self.count = 0
         sizes = _hist_sizes(g)
-        # Histograms of e, e1, e2 and w; the joint counts of (t, t1) at
-        # t * tk + t1 and of (m, F) at m * fk + F + 1, from which finalize
-        # reads the histograms of t, t1, t2, m, F and F - 2m.
-        self.hist = {k: [0] * sizes[k] for k in _OWN_HIST_KEYS}
+        # The histogram of w and the joint counts of (e, e1) at e * ek + e1,
+        # (m, e) at m * ek + e, (t, t1) at t * tk + t1 and (m, F) at
+        # m * fk + F + 1, from which finalize reads every other histogram
+        # and the two e counters.
+        self.w = [0] * sizes["w"]
+        self._ek = sizes["e"]
         self._tk = sizes["t"]
         self._fk = sizes["F"]
+        self.e_e1 = [0] * (self._ek * self._ek)
+        self.m_e = [0] * (sizes["m"] * self._ek)
         self.t_t1 = [0] * (self._tk * self._tk)
         self.m_F = [0] * (sizes["m"] * self._fk)
-        self.c_e_half = 0
-        self.c_e_third = 0
         # gap_bytes[256 * j + b]: a weight on the bit pattern b of the gaps
         # in [8j, 8j + 8); each leaf's gaps below F are spread over such
         # patterns, so only the weighted bit sums, the gap counts per
@@ -295,6 +293,11 @@ class Accumulator:
         self._decile_mask = sum(1 << n for n in {n for p in self.pairs for n in p})
         self.decile_gaps = {}  # gaps & _decile_mask -> leaves
 
+    @property
+    def count(self):
+        """The number of leaves added."""
+        return sum(self.w)
+
     def add_leaf(self, mask, m, F):
         self._add(mask, m, F, *_leaf(mask, m, F))
 
@@ -303,18 +306,11 @@ class Accumulator:
         g = self.genus
         e1, t1 = _windows(mask, m, F)
         w = alpha - g * (g + 1) // 2
-        self.count += 1
+        self.e_e1[e * self._ek + e1] += 1
+        self.m_e[m * self._ek + e] += 1
         self.t_t1[t * self._tk + t1] += 1
         self.m_F[m * self._fk + F + 1] += 1
-        h = self.hist
-        h["e"][e] += 1
-        h["e1"][e1] += 1
-        h["e2"][e - e1] += 1
-        h["w"][w] += 1
-        if 2 * e >= m:
-            self.c_e_half += 1
-        if 3 * e >= m:
-            self.c_e_third += 1
+        self.w[w] += 1
         # Only the gaps <= F: a mask may be narrower than the decile points.
         key = ~mask & ((1 << (F + 1)) - 1) & self._decile_mask
         gaps = ~mask & (((1 << (F + 1)) - 1) >> 1)  # below F
@@ -389,20 +385,18 @@ class Accumulator:
         above y - m, so with b = y + 1 and y left out of both, (t, t1) is
         counted at tb + t * tk + t1.  e loses one when y + m = a + b with
         m < a, b < y (``tree._children``'s test), e1 when y < 2m."""
-        tt, mf = self.t_t1, self.m_F
-        he, he1, he2, hw = _own_hists(self.hist)
+        ee, me, tt, mf, hw = self.e_e1, self.m_e, self.t_t1, self.m_F, self.w
         dg = self.decile_gaps
         dmask = self._decile_mask
-        tk = self._tk
+        ek, tk = self._ek, self._tk
         tb = tk + 1
+        eb = m * ek
         mb = m * self._fk
         rb = top + 1
         rmb = rb - m
         m2 = 2 << m
         below = 1 << 2 * m  # y < 2m iff 1 << y < below
-        count = half = third = 0
         for mask, rev, eff, pf, gaps, e, e1, wb, key in nodes:
-            count += eff.bit_count()
             nrev = ~rev
             while eff:
                 low = eff & -eff
@@ -413,31 +407,20 @@ class Accumulator:
                 mf[mb + b] += 1
                 hw[wb + b] += 1
                 ce = e - 1 if mask & (rev >> (rmb - b)) & (low - m2) else e
-                ce1 = e1 - 1 if low < below else e1
-                he[ce] += 1
-                he1[ce1] += 1
-                he2[ce - ce1] += 1
-                if 3 * ce >= m:
-                    third += 1
-                    if 2 * ce >= m:
-                        half += 1
+                ee[ce * ek + (e1 - 1 if low < below else e1)] += 1
+                me[eb + ce] += 1
                 k = key | low & dmask
                 dg[k] = dg.get(k, 0) + 1
-        self.count += count
-        self.c_e_half += half
-        self.c_e_third += third
 
     def merge_in(self, other):
         """Add the counts of another accumulator of the same genus."""
         if other.genus != self.genus:
             raise GenusMismatch(f"cannot merge genus {self.genus} with {other.genus}")
-        self.count += other.count
-        for k in _OWN_HIST_KEYS:
-            self.hist[k] = [x + y for x, y in zip(self.hist[k], other.hist[k])]
+        self.w = [x + y for x, y in zip(self.w, other.w)]
+        self.e_e1 = [x + y for x, y in zip(self.e_e1, other.e_e1)]
+        self.m_e = [x + y for x, y in zip(self.m_e, other.m_e)]
         self.t_t1 = [x + y for x, y in zip(self.t_t1, other.t_t1)]
         self.m_F = [x + y for x, y in zip(self.m_F, other.m_F)]
-        self.c_e_half += other.c_e_half
-        self.c_e_third += other.c_e_third
         self.gap_bytes = [x + y for x, y in zip(self.gap_bytes, other.gap_bytes)]
         for key, n in other.decile_gaps.items():
             self.decile_gaps[key] = self.decile_gaps.get(key, 0) + n
@@ -447,15 +430,15 @@ class Accumulator:
         g = self.genus
         sizes = _hist_sizes(g)
         h = {k: [0] * sizes[k] for k in _HIST_KEYS}
-        for k in _OWN_HIST_KEYS:
-            h[k][:] = self.hist[k]
-        ht, ht1, ht2 = h["t"], h["t1"], h["t2"]
-        for i, n in enumerate(self.t_t1):
-            if n:
-                t, t1 = divmod(i, self._tk)
-                ht[t] += n
-                ht1[t1] += n
-                ht2[t - t1] += n
+        h["w"][:] = self.w
+        for x, joint, k in (("e", self.e_e1, self._ek), ("t", self.t_t1, self._tk)):
+            hx, hx1, hx2 = h[x], h[x + "1"], h[x + "2"]
+            for i, n in enumerate(joint):
+                if n:
+                    a, a1 = divmod(i, k)
+                    hx[a] += n
+                    hx1[a1] += n
+                    hx2[a - a1] += n
         hm, hF, hfd = h["m"], h["F"], h["fdiff"]
         for i, n in enumerate(self.m_F):
             if n:
@@ -468,10 +451,11 @@ class Accumulator:
     def finalize(self):
         g = self.genus
         h = self._histograms()
+        count = self.count
         # The first seven moments, e .. w, are sums over their histograms.
         moments = {k: sum(i * n for i, n in enumerate(h[k])) for k in _MOMENT_KEYS[:7]}
         shift = g * (g + 1) // 2  # alpha = w + shift
-        moments["alpha"] = moments["w"] + shift * self.count
+        moments["alpha"] = moments["w"] + shift * count
         moments["w2"] = sum(w * w * n for w, n in enumerate(h["w"]))
         moments["alpha2"] = sum((w + shift) ** 2 * n for w, n in enumerate(h["w"]))
         fdiff = h["fdiff"]
@@ -482,20 +466,21 @@ class Accumulator:
             if n:
                 for p in _bit_positions(idx & 255):
                     gap_count[8 * (idx >> 8) + p] += n
+        m_e = [(*divmod(i, self._ek), n) for i, n in enumerate(self.m_e) if n]  # (m, e, leaves)
         return GenusAggregate(
             genus=g,
-            count=self.count,
+            count=count,
             hist={k: tuple(h[k]) for k in _HIST_KEYS},
             moments=moments,
             counters={
-                "e_ge_m_half": self.c_e_half,
-                "e_ge_m_third": self.c_e_third,
+                "e_ge_m_half": sum(n for m, e, n in m_e if 2 * e >= m),
+                "e_ge_m_third": sum(n for m, e, n in m_e if 3 * e >= m),
                 "symmetric": h["F"][2 * g] if g else 0,
                 "f_lt_2m": sum(fdiff[:off]),
                 "f_minus_2m": per_k,
                 "f_minus_2m_overflow": sum(fdiff[off + K_MAX + 1 :]),
             },
-            membership=(0,) + tuple(self.count - c for c in gap_count[1:]),
+            membership=(0,) + tuple(count - c for c in gap_count[1:]),
             pairs=self.pairs,
             pair_miss=tuple(
                 sum(n for key, n in self.decile_gaps.items() if key >> i & key >> j & 1)

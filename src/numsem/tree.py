@@ -27,16 +27,18 @@ read it.
 ``_run`` is the one driver.  Every run splits the tree by multiplicity into
 tasks that hold every state exactly once, with no ordinary state below a
 task's roots (see ``_tasks``).  A serial run folds them all in one job call
-in this process; a parallel run maps them, one per job, onto worker
-processes.  Either way the driver folds the jobs' results (level counts, or
-one Accumulator per requested genus, merged with ``merge_in``) and finalizes
-once, so the GenusAggregate is byte-identical whatever the worker count.
-The first parallel run imports ``concurrent.futures``.
+in this process and returns its result as it is; a parallel run maps them,
+one per job, onto worker processes and merges the jobs' results (level
+counts, or one Accumulator per requested genus, merged with ``merge_in``).
+Every count is a sum, so the GenusAggregate, finalized once, is
+byte-identical whatever the worker count.  The first parallel run imports
+``concurrent.futures``.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
+from itertools import zip_longest
 
 from .core import SemigroupSet
 from .errors import GenusTooLarge
@@ -224,26 +226,25 @@ def _tasks(width, target):
     return large + [((state,), target)] + chain
 
 
-def _run(gmax, width, threads, job, fold):
-    """Call ``fold`` on the result of ``job`` for the tasks of ``_tasks`` down
-    to ``gmax``: on one batch of them all, in this process, with one worker
-    or at genus 0; else on one batch per task, run in one process pool and
-    folded in the order they complete, so ``fold`` must not depend on that
-    order (every job's fold is a sum).  The pool module is imported by the
-    first parallel run, never by a serial one.
+def _run(gmax, width, threads, job, merge):
+    """The result of ``job`` for the tasks of ``_tasks`` down to ``gmax``:
+    of one batch of them all, in this process, with one worker or at genus 0;
+    else of one batch per task, run in one process pool, the results combined
+    by ``merge`` in the order they complete, so ``merge`` must not depend on
+    that order (every job's merge is a sum).  The pool module is imported by
+    the first parallel run, never by a serial one.
     """
     if threads is not None and threads < 1:
         raise ValueError("threads must be positive")
     tasks = _tasks(width, gmax)
     if gmax == 0 or threads is None or threads == 1:
-        fold(job((tasks, width)))
-        return
+        return job((tasks, width))
     from concurrent.futures import ProcessPoolExecutor as pool_class, as_completed
     with (ProcessPoolExecutor or pool_class)(max_workers=threads) as pool:
         # as_completed lets go of each future it yields, so a result is held
-        # only until it is folded.
-        for future in as_completed([pool.submit(job, ((task,), width)) for task in tasks]):
-            fold(future.result())
+        # only until it is merged.
+        done = as_completed([pool.submit(job, ((task,), width)) for task in tasks])
+        return reduce(merge, (future.result() for future in done))
 
 
 def count_genus(g, threads=1):
@@ -253,15 +254,12 @@ def count_genus(g, threads=1):
 
 def count_genus_series(gmax, threads=1):
     """[N(0), ..., N(gmax)] from a single tree walk."""
-    width = _width(gmax)
-    levels = [0] * (gmax + 1)
+    return _run(gmax, _width(gmax), threads, _count_job, _add_levels)
 
-    def fold(part):
-        for d, n in enumerate(part):
-            levels[d] += n
 
-    _run(gmax, width, threads, _count_job, fold)
-    return levels
+def _add_levels(a, b):
+    """The sum of two jobs' level counts, which may differ in length."""
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
 def iter_semigroups(g):
@@ -283,19 +281,23 @@ def series_accumulators(genera, threads=1):
     finalized, from a single tree walk down to the largest.
 
     Only the states of those depths are accumulated.  Each job keeps one
-    Accumulator per such depth its tasks reach, and the driver merges them,
-    so the bytes do not depend on the worker count.
+    Accumulator per such depth its tasks reach; a serial run's one job
+    reaches them all, and a parallel run merges its jobs' Accumulators, so
+    the bytes do not depend on the worker count.
     """
-    genera = frozenset(genera)
+    genera = sorted(set(genera))
     _width(min(genera))  # a negative genus fails here, before the walk
     gmax = max(genera)
     width = _width(gmax)
-    job = partial(_series_job, genera)
-    accs = {g: Accumulator(g, width) for g in sorted(genera)}
+    return _run(gmax, width, threads, partial(_series_job, genera), _merge_series)
 
-    def fold(parts):
-        for g, part in parts.items():
+
+def _merge_series(accs, parts):
+    """``accs`` with each Accumulator of ``parts`` merged in, or adopted where
+    ``accs`` has none of its genus."""
+    for g, part in parts.items():
+        if g in accs:
             accs[g].merge_in(part)
-
-    _run(gmax, width, threads, job, fold)
+        else:
+            accs[g] = part
     return accs

@@ -13,7 +13,7 @@ from numsem.errors import (
     OutOfValidityRangeWarning,
     PrefixConditionViolated,
 )
-from numsem.kunz import kunz_of
+from numsem.kunz import enumerate_kunz_vectors, kunz_of
 from numsem.kunzcount import (
     H_polynomial,
     PrefixTuple,
@@ -25,7 +25,8 @@ from numsem.kunzcount import (
     generate_Y,
 )
 from numsem.polybounds import ExactPolynomial
-from numsem.tree import iter_semigroups
+from numsem.tree import _count_job, _tasks, _width, iter_semigroups
+from numsem.verify import run_suite
 
 Y1_EXPECTED = {
     (1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1),
@@ -178,3 +179,27 @@ def test_rational_polynomial_eval():
 def test_one_polynomial_class():
     assert not hasattr(kunzcount, "RationalPolynomial")
     assert type(H_polynomial(3)) is ExactPolynomial
+
+
+def test_count_path_at_both_ends_of_the_multiplicity_range():
+    # The class task of each multiplicity m (the children of O_m other than
+    # O_{m+1}, walked to genus g) through the count path, _count_job and
+    # _levels, at genera whose masks are wider than any other count test
+    # reaches: against the closed form for m >= g - 6 and the Kunz vectors of
+    # (m, g) for m <= 6.  The classes with 6 < m < g - 6 stay unchecked at
+    # these genera.  Every (g, g - m) used is in the closed form's proven
+    # range, so no warning is raised.
+    for g in (35, 45):
+        width = _width(g)
+        classes = {roots[0][2]: (roots, stop) for roots, stop in _tasks(width, g) if stop == g}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", OutOfValidityRangeWarning)
+            for m in [*range(2, 7), *range(g - 6, g + 1)]:
+                got = _count_job(((classes[m],), width))[g]
+                if m >= g - 6:
+                    assert got == count_multiplicity_deficit(g, g - m), (g, m)
+                else:
+                    assert got == len(enumerate_kunz_vectors(m, g)), (g, m)
+    for suite in ("counting-m", "counting-e"):
+        result = run_suite(suite, 45)
+        assert result.ok, str(result)

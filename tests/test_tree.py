@@ -1,14 +1,16 @@
 import hashlib
+import multiprocessing
 import sys
 import tracemalloc
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numsem import tree
-from numsem.core import SemigroupSet, minimal_generators, pseudo_frobenius
+from numsem.core import SemigroupSet, invariants, minimal_generators, pseudo_frobenius
 from numsem.errors import GenusTooLarge
 from numsem.stats import Accumulator, merge
 from numsem.tree import (
@@ -18,6 +20,7 @@ from numsem.tree import (
     _levels,
     _root,
     _series,
+    _series_job,
     _width,
     count_genus,
     count_genus_series,
@@ -25,6 +28,7 @@ from numsem.tree import (
     iter_semigroups,
     series_accumulators,
 )
+from numsem.verify import _core_failure
 
 KNOWN = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592]
 # N(0..22), OEIS A007323.
@@ -355,6 +359,62 @@ def test_two_level_stop_is_the_from_scratch_fold(shared_pool):
         assert _series_bytes(genera, 2) == want, genera
 
 
+def test_a_serial_run_merges_nothing(shared_pool, monkeypatch):
+    # A serial run returns its one job's Accumulators as they are; only a
+    # parallel run merges, in this process.
+    parallel = _series_bytes(range(13), 2)
+
+    def no_merge(self, other):
+        raise AssertionError("a serial run merges nothing")
+
+    monkeypatch.setattr(Accumulator, "merge_in", no_merge)
+    assert _series_bytes(range(13)) == parallel
+    assert enumerate_genus(12).canonical_bytes() == parallel[12]
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_parallel_runs_under_each_start_method(method, monkeypatch):
+    # Workers that start from a fresh interpreter, not a fork of this one,
+    # unpickle the jobs and pickle back their results (Accumulators and
+    # level counts) with the serial bytes.
+    from concurrent.futures import ProcessPoolExecutor
+
+    serial = (
+        enumerate_genus(12).canonical_bytes(),
+        _series_bytes(range(13)),
+        count_genus_series(12),
+    )
+    pool = partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context(method))
+    monkeypatch.setattr(tree, "ProcessPoolExecutor", pool)
+    parallel = (
+        enumerate_genus(12, 2).canonical_bytes(),
+        _series_bytes(range(13), 2),
+        count_genus_series(12, 2),
+    )
+    assert parallel == serial
+
+
+def _peak(f, g):
+    """The tracemalloc peak of f(g), in bytes."""
+    tracemalloc.start()
+    try:
+        f(g)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_the_number_of_semigroups():
+    # N grows from 592 to 4,806 between genus 12 and 16; a list of the
+    # leaves would grow the peak about 8x.  The peaks grow with the task
+    # list and the per-genus arrays instead: 1.70x for enumerate_genus and
+    # 1.86x for count_genus_series.  Each is called once before it is
+    # measured, so that no first-call allocation counts.
+    for f in (enumerate_genus, count_genus_series):
+        f(12)
+        assert _peak(f, 16) < 2 * _peak(f, 12), f.__name__
+
+
 def test_series_edge_cases(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("genus 0 needs no worker pool")
@@ -367,6 +427,87 @@ def test_series_edge_cases(monkeypatch):
     assert _series_bytes([0, 1], threads=2) == {
         g: enumerate_genus(g).canonical_bytes() for g in (0, 1)
     }
+
+
+# Roots of deep subtrees below genus g, each as (m, path): from O_m, the
+# child of each index of ``path`` in turn, counted from the last child when
+# negative.  Index 1 of O_m is the chain's neighbour.  Per genus: first
+# children below that neighbour, a mixed path, alternating first and second
+# children, and a last child; at 36 and 45 also a multiplicity above 32, whose
+# e1 window [m, 2m) reaches past bit 64.  Each subtree holds at most 2,000
+# leaves.
+_DEEP_ROOTS = {
+    26: (
+        (6, (1,) + (0,) * 9),
+        (18, (2, 1, 0, 2)),
+        (13, (1, 1, 0, 1, 0, 1)),
+        (13, (1,) * 7 + (-1,)),
+    ),
+    30: (
+        (8, (1,) + (0,) * 15),
+        (20, (2, 1, 0, 2, 0)),
+        (15, (1, 1, 0, 1, 0, 1, 0, 1)),
+        (15, (1, 1, 0, 1, 0, 1, 0, 0, 0, -1)),
+    ),
+    36: (
+        (9, (1,) + (0,) * 21),
+        (24, (2, 1, 0, 2, 0, 3)),
+        (18, (1, 1, 0, 1, 0, 1, 0, 1, 0, 1)),
+        (18, (1, 1, 0, 1, 0, 1, 0, 1, 0, 0, -1)),
+        (34, (1,)),
+    ),
+    45: (
+        (11, (1,) + (0,) * 30),
+        (30, (2, 1, 0, 2, 0, 3, 1, 1, 0)),
+        (22, (1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0)),
+        (22, (1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, -1)),
+        (37, (1,) + (0,) * 6),
+    ),
+}
+
+
+def _descend(width, m, path):
+    top = width - 1
+    state = _root(width)
+    for _ in range(m - 1):
+        state = _children(state, top)[0]
+    for i in path:
+        state = _children(state, top)[i]
+    return state
+
+
+def test_deep_subtrees_above_genus_30_are_the_from_scratch_fold():
+    # _series_job over fixed roots down to genus g, one task per root in one
+    # batch, every depth from the shallowest root's accumulated: against
+    # add_leaf over the same states, and its e histograms and e counters
+    # against core.invariants, which no joint count reads.  Every visited
+    # state passes verify's from-scratch check.
+    for g, specs in _DEEP_ROOTS.items():
+        width = _width(g)
+        roots = [_descend(width, m, path) for m, path in specs]
+        for root in roots:
+            assert not root[4] >> root[2] & 1  # no task root above its stop is ordinary
+            assert _levels(root, width - 1, g - root[8])[-1] <= 2000, (g, root[8])
+        genera = range(min(root[8] for root in roots), g + 1)
+        got = _series_job(genera, (tuple(((root,), g) for root in roots), width))
+        want = {h: Accumulator(h, width) for h in genera}
+        records = {h: [] for h in genera}
+        for root in roots:
+            for state in _series(g, (root,), width):
+                assert _core_failure(state, width) is None, (g, _gaps(state))
+                want[state[8]].add_leaf(state[0], state[2], state[3])
+                records[state[8]].append(invariants(SemigroupSet(state[0], width)))
+        assert set(got) == set(genera), g
+        for h in genera:
+            agg = got[h].finalize()
+            assert agg == want[h].finalize(), (g, h)
+            recs = records[h]
+            for name, field in (("e", "embedding_dim"), ("e1", "e1"), ("e2", "e2")):
+                c = Counter(getattr(r, field) for r in recs)
+                assert agg.hist[name] == tuple(c[i] for i in range(h + 2)), (g, h, name)
+            e_m = [(r.embedding_dim, r.multiplicity) for r in recs]
+            assert agg.counters["e_ge_m_half"] == sum(2 * e >= m for e, m in e_m), (g, h)
+            assert agg.counters["e_ge_m_third"] == sum(3 * e >= m for e, m in e_m), (g, h)
 
 
 def test_genus_24_aggregate_digest():
