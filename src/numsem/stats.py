@@ -323,8 +323,8 @@ class Accumulator:
         self.decile_gaps[key] = self.decile_gaps.get(key, 0) + 1
 
     def _add_children(self, state, top):
-        """``_add`` of every child of a tree kernel state that is not
-        ordinary, one level above the genus (the children of
+        """``_add`` of every child of a tree kernel state whose m is not among
+        its effective generators, one level above the genus (the children of
         ``tree._children``), read from the parent through ``_leaves`` without
         building a child.  Their gaps below their Frobenius numbers are the
         parent's, whose bytes count once per child."""
@@ -342,11 +342,12 @@ class Accumulator:
         self._leaves(m, top, ((mask, rev, eff, pf, gaps, e, e1, wb, ~mask & self._decile_mask),))
 
     def _add_grandchildren(self, state, top):
-        """``_add_children`` of every child of a tree kernel state that is not
-        ordinary, two levels above the genus, with no child state built.  Each
-        child follows ``_children``'s rules for its y.  A grandchild's gaps
-        below its Frobenius number are the parent's and y: the parent's gap
-        bytes count once per grandchild, and y alone once per child's child."""
+        """``_add_children`` of every child of a tree kernel state whose m is
+        not among its effective generators, two levels above the genus,
+        building no child state.  Each child follows ``_children``'s rules for
+        its y.  A grandchild's gaps below its Frobenius number are the parent's
+        and y: the parent's gap bytes count once per grandchild, and y alone
+        once per child's child."""
         mask, rev, m, F, eff, e, pf, alpha, _ = state
         g = self.genus
         gaps = ~mask & ((1 << (F + 1)) - 1)
@@ -379,12 +380,12 @@ class Accumulator:
 
     def _leaves(self, m, top, nodes):
         """Count the children of ``nodes`` (mask, rev, effective generators,
-        PF, gaps, e, e1, w offset, decile key), which share m and are not
-        ordinary, all but their gap bytes.  A child's PF is y and the p in PF
-        with y - p a gap, and its gaps in (y - m, y] are y and the node's gaps
-        above y - m, so with b = y + 1 and y left out of both, (t, t1) is
-        counted at tb + t * tk + t1.  e loses one when y + m = a + b with
-        m < a, b < y (``tree._children``'s test), e1 when y < 2m."""
+        PF, gaps, e, e1, w offset, decile key), which share m and lack it among
+        their effective generators, all but their gap bytes.  A child's PF is y
+        and the p in PF with y - p a gap, and its gaps in (y - m, y] are y and
+        the node's gaps above y - m, so with b = y + 1 and y left out of both,
+        (t, t1) is counted at tb + t * tk + t1.  e loses one when y + m = a + b
+        with m < a, b < y (``tree._children``'s test), e1 when y < 2m."""
         ee, me, tt, mf, hw = self.e_e1, self.m_e, self.t_t1, self.m_F, self.w
         dg = self.decile_gaps
         dmask = self._decile_mask

@@ -11,7 +11,7 @@ and its bit reversal in one width W, m, F, the effective generators (the
 minimal generators above F) as a mask, e, the pseudo-Frobenius numbers as a
 mask, the gap sum and the genus.  ``_children`` derives each child's state
 from its parent's in O(1) big-int steps.  Counting builds no state below a
-task's roots, by Fromentin and Hivert's rule: a node's children are its
+task's root, by Fromentin and Hivert's rule: a node's children are its
 effective generators, and ``_levels`` derives each child's from them by
 ``_children``'s rule (a child loses one when y + m = a + b), so it walks
 (mask, rev, m, eff) alone, to any depth.
@@ -25,11 +25,11 @@ with an explicit stack.  Statistics (``series_accumulators``, and through it
 read it.
 
 ``_run`` is the one driver.  Every run splits the tree by multiplicity into
-tasks that hold every state exactly once, with no ordinary state below a
-task's roots (see ``_tasks``).  A serial run folds them all in one job call
-in this process and returns its result as it is; a parallel run maps them,
-one per job, onto worker processes and merges the jobs' results (level
-counts, or one Accumulator per requested genus, merged with ``merge_in``).
+root states, one per m, whose walks hold every state exactly once, with m
+no walked state's effective generator (see ``_tasks``).  A serial run folds
+them all in one job call in this process and returns its result as it is;
+a parallel run maps them, one per job, onto worker processes and merges the
+jobs' results (level counts, or one Accumulator per genus, by ``merge_in``).
 Every count is a sum, so the GenusAggregate, finalized once, is
 byte-identical whatever the worker count.  The first parallel run imports
 ``concurrent.futures``.
@@ -38,7 +38,6 @@ byte-identical whatever the worker count.  The first parallel run imports
 from __future__ import annotations
 
 from functools import partial, reduce
-from itertools import zip_longest
 
 from .core import SemigroupSet
 from .errors import GenusTooLarge
@@ -102,13 +101,13 @@ def _children(state, top):
 
 def _levels(state, top, n):
     """The number of descendants of a kernel state at each of the n depths
-    below it, with no state built.  For n > 0 the state must not be ordinary,
-    and then no state below it is: they keep its m.  The walk keeps (mask,
-    rev, m, eff, depth) per node on a stack and follows ``_children``'s
-    rules: a child's mask and rev flip one bit, and it keeps the generators
-    above y, plus y + m unless y + m = a + b, m < a, b < y.  A node three
-    levels above the bottom reads its children inline: a child with k
-    generators has k children and k(k+1)/2 grandchildren, less one per
+    below it, with no state built.  For n > 0, m must not be among its
+    effective generators, and so is among no descendant's: they keep its m.
+    The walk keeps (mask, rev, m, eff, depth) per node on a stack and follows
+    ``_children``'s rules: a child's mask and rev flip one bit, and it keeps
+    the generators above y, plus y + m unless y + m = a + b, m < a, b < y.  A
+    node three levels above the bottom reads its children inline: a child with
+    k generators has k children and k(k+1)/2 grandchildren, less one per
     generator z of the child with z + m = a + b (``_children``'s e - 1 test).
     """
     levels = [0] * n
@@ -159,48 +158,48 @@ def _series(gmax, roots=None, width=None):
 
 
 def _count_job(args):
-    """Nodes per depth below a batch of tasks (roots, stop) of ``_tasks``:
-    each task's roots, which share their depth d, at d, and the sum of their
-    ``_levels`` at d + 1 .. stop.  No state below the roots is built.
+    """Nodes per depth 0 .. target below a batch of roots of ``_tasks``:
+    each root at its depth d, and its ``_levels`` at d + 1 .. target.  No
+    state below the roots is built.
     """
-    tasks, width = args
-    levels = [0] * (max(stop for _, stop in tasks) + 1)
-    for roots, stop in tasks:
-        d = roots[0][8]
-        levels[d] += len(roots)
-        for root in roots:
-            for j, n in enumerate(_levels(root, width - 1, stop - d), d + 1):
-                levels[j] += n
+    roots, width, target = args
+    levels = [0] * (target + 1)
+    for root in roots:
+        d = root[8]
+        levels[d] += 1
+        for j, n in enumerate(_levels(root, width - 1, target - d), d + 1):
+            levels[j] += n
     return levels
 
 
 def _series_job(genera, args):
-    """{g: Accumulator} for each depth g in ``genera`` that the walks below a
-    batch of tasks (roots, stop) of ``_tasks`` reach, shared by the batch's
-    tasks; no other state is accumulated.
+    """{g: Accumulator} for each depth g <= target in ``genera`` that the
+    walks below a batch of roots of ``_tasks`` reach (a root's own depth, and
+    each deeper one if it has an effective generator), shared by the batch's
+    roots; no other state is accumulated.
 
-    A task's walk below its roots (which share their depth d) stops at depth
-    max(d, stop - 2), and only the roots go through ``_add``.  Each walked
-    state below ``stop`` adds its children to the next genus
-    (``_add_children``), and each at stop - 2 its grandchildren to ``stop``
-    (``_add_grandchildren``), when that genus is requested.  No state below
-    a task's roots is ordinary, so ``_children`` alone holds that rule.
+    A root's walk stops at depth max(d, target - 2), d its depth, and only
+    the root goes through ``_add``.  Each walked state below ``target`` adds
+    its children to the next genus (``_add_children``), and each at
+    target - 2 its grandchildren to ``target`` (``_add_grandchildren``),
+    when that genus is requested.  m is no walked state's effective
+    generator, so ``_children`` alone holds the ordinary node's rule.
     """
-    tasks, width = args
+    roots, width, target = args
     top = width - 1
-    accs = {g: Accumulator(g, width) for g in genera if any(r[0][8] <= g <= s for r, s in tasks)}
-    for roots, stop in tasks:
-        base = roots[0][8]
-        run = [accs.get(g) for g in range(base, stop + 1)]
-        if run[0] is not None:
-            for mask, _, m, F, _, e, pf, alpha, _ in roots:
-                run[0]._add(mask, m, F, e, pf.bit_count(), alpha)
-        last = run[-1]
-        for state in _series(max(base, stop - 2), roots, width):
+    reached = {g for r in roots for g in range(r[8], target + 1 if r[4] else r[8] + 1)}
+    accs = {g: Accumulator(g, width) for g in genera if g in reached}
+    run = [accs.get(g) for g in range(target + 1)]
+    last = run[target]
+    for root in roots:
+        mask, _, m, F, _, e, pf, alpha, d = root
+        if run[d] is not None:
+            run[d]._add(mask, m, F, e, pf.bit_count(), alpha)
+        for state in _series(max(d, target - 2), (root,), width):
             g = state[8]
-            if g < stop and run[g + 1 - base] is not None:
-                run[g + 1 - base]._add_children(state, top)
-            if g == stop - 2 and last is not None:
+            if g < target and run[g + 1] is not None:
+                run[g + 1]._add_children(state, top)
+            if g == target - 2 and last is not None:
                 last._add_grandchildren(state, top)
     return accs
 
@@ -209,41 +208,40 @@ def _tasks(width, target):
     """Split the tree down to ``target`` into worker tasks by multiplicity
     (Fromentin and Hivert's split along the ordinary chain).
 
-    A task is a pair (roots, stop): kernel states of one depth, from which a
-    worker resumes the walk, and the depth it stops at.  The tasks hold every
-    state of depth <= ``target`` exactly once.  The first child of O_m is
-    always O_{m+1}; its other children (every other semigroup of multiplicity
-    m) make one task for each m, in ascending m; O_{target+1}, at depth
-    ``target``, one more; and each chain node O_1 .. O_target is a task that
-    stops at its own depth.  So no state below a task's roots is ordinary.
+    A task is one kernel state, the root of a walk to ``target``: O_m, at
+    depth m - 1, with m cleared from its effective generators, for m = 1 ..
+    target + 1 in ascending m.  The first child of O_m is always O_{m+1}, the
+    one child that m's removal skips, so task m holds O_m and every other
+    semigroup of multiplicity m, and the tasks hold every state of depth <=
+    ``target`` exactly once.  m is no effective generator of a task's states.
     """
-    state, large, chain = _root(width), [], []
-    for _ in range(target):
-        chain.append(((state,), state[8]))
-        state, *group = _children(state, width - 1)
-        if group:
-            large.append((tuple(group), target))
-    return large + [((state,), target)] + chain
+    state, roots = _root(width), []
+    for _ in range(target + 1):
+        roots.append(state[:4] + (state[4] & ~(1 << state[2]),) + state[5:])
+        state = _children(state, width - 1)[0]
+    return roots
 
 
-def _run(gmax, width, threads, job, merge):
-    """The result of ``job`` for the tasks of ``_tasks`` down to ``gmax``:
-    of one batch of them all, in this process, with one worker or at genus 0;
-    else of one batch per task, run in one process pool, the results combined
-    by ``merge`` in the order they complete, so ``merge`` must not depend on
-    that order (every job's merge is a sum).  The pool module is imported by
-    the first parallel run, never by a serial one.
+def _run(gmax, threads, job, merge):
+    """The result of ``job`` for the roots of ``_tasks`` down to ``gmax``, in
+    width ``_width(gmax)``: of one batch of them all, in this process, with
+    one worker or at genus 0; else of one batch per root, run in one process
+    pool, the results combined by ``merge`` in the order they complete, so
+    ``merge`` must not depend on that order (every job's merge is a sum).
+    The pool module is imported by the first parallel run, never by a serial
+    one.
     """
+    width = _width(gmax)
     if threads is not None and threads < 1:
         raise ValueError("threads must be positive")
-    tasks = _tasks(width, gmax)
+    roots = _tasks(width, gmax)
     if gmax == 0 or threads is None or threads == 1:
-        return job((tasks, width))
+        return job((roots, width, gmax))
     from concurrent.futures import ProcessPoolExecutor as pool_class, as_completed
     with (ProcessPoolExecutor or pool_class)(max_workers=threads) as pool:
         # as_completed lets go of each future it yields, so a result is held
         # only until it is merged.
-        done = as_completed([pool.submit(job, ((task,), width)) for task in tasks])
+        done = as_completed([pool.submit(job, ((root,), width, gmax)) for root in roots])
         return reduce(merge, (future.result() for future in done))
 
 
@@ -254,12 +252,12 @@ def count_genus(g, threads=1):
 
 def count_genus_series(gmax, threads=1):
     """[N(0), ..., N(gmax)] from a single tree walk."""
-    return _run(gmax, _width(gmax), threads, _count_job, _add_levels)
+    return _run(gmax, threads, _count_job, _add_levels)
 
 
 def _add_levels(a, b):
-    """The sum of two jobs' level counts, which may differ in length."""
-    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+    """The sum of two jobs' level counts."""
+    return [x + y for x, y in zip(a, b)]
 
 
 def iter_semigroups(g):
@@ -281,15 +279,13 @@ def series_accumulators(genera, threads=1):
     finalized, from a single tree walk down to the largest.
 
     Only the states of those depths are accumulated.  Each job keeps one
-    Accumulator per such depth its tasks reach; a serial run's one job
+    Accumulator per such depth its roots reach; a serial run's one job
     reaches them all, and a parallel run merges its jobs' Accumulators, so
     the bytes do not depend on the worker count.
     """
     genera = sorted(set(genera))
     _width(min(genera))  # a negative genus fails here, before the walk
-    gmax = max(genera)
-    width = _width(gmax)
-    return _run(gmax, width, threads, partial(_series_job, genera), _merge_series)
+    return _run(max(genera), threads, partial(_series_job, genera), _merge_series)
 
 
 def _merge_series(accs, parts):

@@ -301,16 +301,15 @@ def verify_t2_bounds(gmax=20):
 def _deficits(gmax, i):
     """Counter of (g, g - state[i]) over the states of depth g <= gmax whose
     deficit g - state[i] is at most ``DMAX``: i = 2 for m, 5 for e.  The walk
-    is the multiplicity split of ``_tasks``, in which every task's states
-    share one multiplicity m, its roots' (the ordinary chain's nodes, and the
-    children of each O_m other than O_{m+1}).  As e <= m, a state with either
-    deficit <= DMAX lies at depth <= m + DMAX, so each task is walked only
-    that far."""
+    is the multiplicity split of ``_tasks``, one root O_m per m, whose task
+    holds O_m and every other semigroup of multiplicity m.  As e <= m, a
+    state with either deficit <= DMAX lies at depth <= m + DMAX, so each task
+    is walked only that far."""
     width = _width(gmax)
     return Counter(
         (s[8], s[8] - s[i])
-        for roots, stop in _tasks(width, gmax)
-        for s in _series(min(stop, roots[0][2] + DMAX), roots, width)
+        for root in _tasks(width, gmax)
+        for s in _series(min(gmax, root[2] + DMAX), (root,), width)
         if s[8] - s[i] <= DMAX
     )
 

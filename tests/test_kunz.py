@@ -126,9 +126,9 @@ def test_multiplicity_tasks_hold_the_kunz_counts():
     for g in range(15):
         width = _width(g)
         per_m = Counter()
-        for roots, stop in _tasks(width, g):
-            m = roots[0][2]
-            for state in _series(stop, roots, width):
+        for root in _tasks(width, g):
+            m = root[2]
+            for state in _series(g, (root,), width):
                 assert state[2] == m, (g, state)
                 per_m[m] += state[8] == g
         kunz_counts = {m: len(enumerate_kunz_vectors(m, g)) for m in range(1, g + 2)}
@@ -136,16 +136,16 @@ def test_multiplicity_tasks_hold_the_kunz_counts():
 
 
 def test_multiplicity_tasks_above_genus_30_are_the_kunz_slices():
-    # The multiplicity-m task of the split (the children of O_m other than
-    # O_{m+1}) at its last three genera, up to MAX_GENUS, against add_leaf
+    # The multiplicity-m task of the split (O_m and every other semigroup of
+    # multiplicity m) at its last three genera, up to MAX_GENUS, against add_leaf
     # over the Kunz vectors of (m, h), which walk no tree.  Wider masks and
     # larger F than any other test reaches.
     for g, ms in ((30, range(3, 8)), (MAX_GENUS, range(3, 7))):
         width = _width(g)
         genera = {g - 2, g - 1, g}
-        tasks = {roots[0][2]: roots for roots, stop in _tasks(width, g) if stop == g}
+        tasks = {root[2]: root for root in _tasks(width, g)}
         for m in ms:
-            accs = _series_job(genera, (((tasks[m], g),), width))
+            accs = _series_job(genera, ((tasks[m],), width, g))
             for h in genera:
                 want = Accumulator(h, width)
                 _add_kunz_leaves(want, m, h, width)

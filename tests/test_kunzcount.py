@@ -182,8 +182,8 @@ def test_one_polynomial_class():
 
 
 def test_count_path_at_both_ends_of_the_multiplicity_range():
-    # The class task of each multiplicity m (the children of O_m other than
-    # O_{m+1}, walked to genus g) through the count path, _count_job and
+    # The task of each multiplicity m (O_m and every other semigroup of
+    # multiplicity m, walked to genus g) through the count path, _count_job and
     # _levels, at genera whose masks are wider than any other count test
     # reaches: against the closed form for m >= g - 6 and the Kunz vectors of
     # (m, g) for m <= 6.  The classes with 6 < m < g - 6 stay unchecked at
@@ -191,11 +191,11 @@ def test_count_path_at_both_ends_of_the_multiplicity_range():
     # range, so no warning is raised.
     for g in (35, 45):
         width = _width(g)
-        classes = {roots[0][2]: (roots, stop) for roots, stop in _tasks(width, g) if stop == g}
+        classes = {root[2]: root for root in _tasks(width, g)}
         with warnings.catch_warnings():
             warnings.simplefilter("error", OutOfValidityRangeWarning)
             for m in [*range(2, 7), *range(g - 6, g + 1)]:
-                got = _count_job(((classes[m],), width))[g]
+                got = _count_job(((classes[m],), width, g))[g]
                 if m >= g - 6:
                     assert got == count_multiplicity_deficit(g, g - m), (g, m)
                 else:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import multiprocessing
 import sys
@@ -162,24 +163,23 @@ def test_count_job_at_each_root_depth():
             at_d = [s for s in states if s[8] == d and not s[4] >> s[2] & 1]
             for roots in {tuple(at_d), tuple(at_d[:1]), tuple(at_d[1::2])} - {()}:
                 want = _count_full_walk(roots, target, width)
-                assert _count_job((((roots, target),), width)) == want, (target, d, roots)
+                assert _count_job((roots, width, target)) == want, (target, d, roots)
 
 
 def test_count_job_of_each_task_is_a_full_walk():
-    # Every task of the multiplicity split, chain nodes included, against the
-    # walk that builds each state; and one batch of all the tasks, the serial
-    # run, against their sum.
+    # Every task of the multiplicity split against the walk that builds each
+    # state; and one batch of all the tasks, the serial run, against their sum.
     for g in range(8, 15):
         width = _width(g)
         levels = [0] * (g + 1)
         tasks = tree._tasks(width, g)
-        for roots, stop in tasks:
-            got = _count_job((((roots, stop),), width))
-            assert got == _count_full_walk(roots, stop, width), (g, roots[0])
+        for root in tasks:
+            got = _count_job(((root,), width, g))
+            assert got == _count_full_walk((root,), g, width), (g, root)
             for i, n in enumerate(got):
                 levels[i] += n
         assert levels == count_genus_series(g), g
-        assert _count_job((tasks, width)) == levels, g
+        assert _count_job((tasks, width, g)) == levels, g
 
 
 def test_add_children_is_add_of_each_child():
@@ -278,18 +278,40 @@ def test_tasks_partition_the_tree():
     for g in range(1, 13):
         width = _width(g)
         levels, masks = [0] * (g + 1), set()
-        for roots, stop in tree._tasks(width, g):
-            assert len({state[8] for state in roots}) == 1
-            assert roots[0][8] <= stop <= g, g
-            for state in _series(stop, roots, width):
-                # No state below a task's roots is ordinary, and a task
-                # rooted at an ordinary state stops at its depth.
-                if state[4] >> state[2] & 1:
-                    assert state[8] == roots[0][8] == stop, (g, state[8], stop)
+        for root in tree._tasks(width, g):
+            for state in _series(g, (root,), width):
+                # No state of a task, root included, has its m among its
+                # effective generators.
+                assert not state[4] >> state[2] & 1, (g, state)
                 assert state[0] not in masks, g
                 masks.add(state[0])
                 levels[state[8]] += 1
         assert levels == count_genus_series(g), g
+
+
+def test_one_task_per_multiplicity(monkeypatch):
+    # A parallel run submits one job per task, and each task is one root:
+    # O_{i+1} at depth i, for i = 0 .. g.  Only N, whose one effective
+    # generator 1 is cleared, and O_{g+1}, at the target, have no state below
+    # them; so a job of N alone reaches no genus above 0.
+    submits = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submits.append(args)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(tree, "ProcessPoolExecutor", CountingPool)
+    assert count_genus_series(20, threads=2) == N_TO_22[:21]
+    assert len(submits) == 21
+    for g in range(13):
+        width = _width(g)
+        roots = tree._tasks(width, g)
+        assert [(root[2], root[8]) for root in roots] == [(i + 1, i) for i in range(g + 1)], g
+        empty = {i for i, root in enumerate(roots) if not any(_levels(root, width - 1, g - i))}
+        assert empty == {0, g}, g
+    w = _width(12)
+    assert _series_job(range(1, 13), ((tree._tasks(w, 12)[0],), w, 12)) == {}
 
 
 def _series_bytes(genera, threads=1):
@@ -489,7 +511,7 @@ def test_deep_subtrees_above_genus_30_are_the_from_scratch_fold():
             assert not root[4] >> root[2] & 1  # no task root above its stop is ordinary
             assert _levels(root, width - 1, g - root[8])[-1] <= 2000, (g, root[8])
         genera = range(min(root[8] for root in roots), g + 1)
-        got = _series_job(genera, (tuple(((root,), g) for root in roots), width))
+        got = _series_job(genera, (tuple(roots), width, g))
         want = {h: Accumulator(h, width) for h in genera}
         records = {h: [] for h in genera}
         for root in roots:
