@@ -299,11 +299,9 @@ class Accumulator:
         return sum(self.w)
 
     def add_leaf(self, mask, m, F):
-        self._add(mask, m, F, *_leaf(mask, m, F))
-
-    def _add(self, mask, m, F, e, t, alpha):
-        """add_leaf with e, t and alpha given, as the tree kernel carries them."""
+        """Count one semigroup, its invariants read from scratch (``_leaf``)."""
         g = self.genus
+        e, t, alpha = _leaf(mask, m, F)
         e1, t1 = _windows(mask, m, F)
         w = alpha - g * (g + 1) // 2
         self.e_e1[e * self._ek + e1] += 1
@@ -323,11 +321,11 @@ class Accumulator:
         self.decile_gaps[key] = self.decile_gaps.get(key, 0) + 1
 
     def _add_children(self, state, top):
-        """``_add`` of every child of a tree kernel state whose m is not among
-        its effective generators, one level above the genus (the children of
-        ``tree._children``), read from the parent through ``_leaves`` without
-        building a child.  Their gaps below their Frobenius numbers are the
-        parent's, whose bytes count once per child."""
+        """``add_leaf`` of every child of a tree kernel state whose m is not
+        among its effective generators, one level above the genus (the
+        children of ``tree._children``), read from the parent through
+        ``_leaves`` without building a child.  Their gaps below their
+        Frobenius numbers are the parent's, whose bytes count once per child."""
         mask, rev, m, F, eff, e, pf, alpha, _ = state
         if not eff:
             return

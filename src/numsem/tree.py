@@ -12,7 +12,7 @@ minimal generators above F) as a mask, e, the pseudo-Frobenius numbers as a
 mask, the gap sum and the genus.  ``_children`` derives each child's state
 from its parent's in O(1) big-int steps.  Counting builds no state below a
 task's root, by Fromentin and Hivert's rule: a node's children are its
-effective generators, and ``_levels`` derives each child's from them by
+effective generators, and ``_count_job`` derives each child's from them by
 ``_children``'s rule (a child loses one when y + m = a + b), so it walks
 (mask, rev, m, eff) alone, to any depth.
 Statistics stop two levels early: every child is its parent plus one gap
@@ -99,27 +99,47 @@ def _children(state, top):
     return out
 
 
-def _levels(state, top, n):
-    """The number of descendants of a kernel state at each of the n depths
-    below it, with no state built.  For n > 0, m must not be among its
-    effective generators, and so is among no descendant's: they keep its m.
-    The walk keeps (mask, rev, m, eff, depth) per node on a stack and follows
-    ``_children``'s rules: a child's mask and rev flip one bit, and it keeps
-    the generators above y, plus y + m unless y + m = a + b, m < a, b < y.  A
-    node three levels above the bottom reads its children inline: a child with
-    k generators has k children and k(k+1)/2 grandchildren, less one per
-    generator z of the child with z + m = a + b (``_children``'s e - 1 test).
+def _series(root, stop, top):
+    """Yield every state of depth <= ``stop`` below ``root``, root included,
+    depth first in pre-order, children in ascending order of the removed
+    generator; ``top`` is W - 1."""
+    stack = [root]
+    while stack:
+        state = stack.pop()
+        yield state
+        if state[8] < stop:
+            stack.extend(reversed(_children(state, top)))
+
+
+def _count_job(args):
+    """Nodes per depth 0 .. target below a batch of roots of ``_tasks``, each
+    root counted at its depth, building no state below the roots; m is among
+    no root's effective generators, so every descendant keeps its m.
+
+    The walk keeps (mask, rev, m, eff, depth) per node on one stack and
+    follows ``_children``'s rules: a child's mask and rev flip one bit, and it
+    keeps the generators above y, plus y + m unless y + m = a + b, m < a,
+    b < y.  A node at depth j adds its generators at j + 1; one with j + 3 ==
+    target reads its children inline: a child with k generators has k
+    children and k(k+1)/2 grandchildren, less one per generator z of the
+    child with z + m = a + b (``_children``'s e - 1 test).
     """
-    levels = [0] * n
-    stack = [(state[0], state[1], state[2], state[4], 0)] if n else []
+    roots, width, target = args
+    top = width - 1
+    levels = [0] * (target + 1)
+    stack = []
     push = stack.append
+    for mask, rev, m, _, eff, *_, d in roots:
+        levels[d] += 1
+        if d < target:
+            push((mask, rev, m, eff, d))
     while stack:
         mask, rev, m, eff, j = stack.pop()
-        levels[j] += eff.bit_count()
         j += 1  # the children's depth
-        if j == n:
+        levels[j] += eff.bit_count()
+        if j == target:
             continue
-        inline, n2, n3 = j + 2 == n, 0, 0
+        inline, n2, n3 = j + 2 == target, 0, 0
         window, shift = 2 << m, top + 1 - m
         while eff:
             low = eff & -eff
@@ -137,38 +157,8 @@ def _levels(state, top, n):
                 if c & (r >> (shift - z.bit_length())) & (z - window):
                     n3 -= 1
         if inline:
-            levels[j] += n2
-            levels[j + 1] += n3
-    return levels
-
-
-def _series(gmax, roots=None, width=None):
-    """Yield every state of depth <= gmax below ``roots`` (of one depth; by
-    default the root, in width ``_width(gmax)``), roots included, depth first
-    in pre-order, children in ascending order of the removed generator."""
-    if width is None:
-        width = _width(gmax)
-    top = width - 1
-    stack = list(reversed(roots)) if roots else [_root(width)]
-    while stack:
-        state = stack.pop()
-        yield state
-        if state[8] < gmax:
-            stack.extend(reversed(_children(state, top)))
-
-
-def _count_job(args):
-    """Nodes per depth 0 .. target below a batch of roots of ``_tasks``:
-    each root at its depth d, and its ``_levels`` at d + 1 .. target.  No
-    state below the roots is built.
-    """
-    roots, width, target = args
-    levels = [0] * (target + 1)
-    for root in roots:
-        d = root[8]
-        levels[d] += 1
-        for j, n in enumerate(_levels(root, width - 1, target - d), d + 1):
-            levels[j] += n
+            levels[j + 1] += n2
+            levels[j + 2] += n3
     return levels
 
 
@@ -178,12 +168,13 @@ def _series_job(genera, args):
     each deeper one if it has an effective generator), shared by the batch's
     roots; no other state is accumulated.
 
-    A root's walk stops at depth max(d, target - 2), d its depth, and only
-    the root goes through ``_add``.  Each walked state below ``target`` adds
-    its children to the next genus (``_add_children``), and each at
-    target - 2 its grandchildren to ``target`` (``_add_grandchildren``),
-    when that genus is requested.  m is no walked state's effective
-    generator, so ``_children`` alone holds the ordinary node's rule.
+    A root's walk stops at depth max(d, target - 2), d its depth, and the
+    root alone is counted from scratch, by ``add_leaf``.  Each walked state
+    below ``target`` adds its children to the next genus
+    (``_add_children``), and each at target - 2 its grandchildren to
+    ``target`` (``_add_grandchildren``), when that genus is requested.  m is
+    no walked state's effective generator, so ``_children`` alone holds the
+    ordinary node's rule.
     """
     roots, width, target = args
     top = width - 1
@@ -192,10 +183,10 @@ def _series_job(genera, args):
     run = [accs.get(g) for g in range(target + 1)]
     last = run[target]
     for root in roots:
-        mask, _, m, F, _, e, pf, alpha, d = root
+        d = root[8]
         if run[d] is not None:
-            run[d]._add(mask, m, F, e, pf.bit_count(), alpha)
-        for state in _series(max(d, target - 2), (root,), width):
+            run[d].add_leaf(root[0], root[2], root[3])
+        for state in _series(root, max(d, target - 2), top):
             g = state[8]
             if g < target and run[g + 1] is not None:
                 run[g + 1]._add_children(state, top)
@@ -264,7 +255,7 @@ def iter_semigroups(g):
     """Yield every SemigroupSet of genus g (single-threaded, ascending-child
     order): the depth-g states of one series walk."""
     width = _width(g)
-    for state in _series(g, width=width):
+    for state in _series(_root(width), g, width - 1):
         if state[8] == g:
             yield SemigroupSet(state[0], width)
 

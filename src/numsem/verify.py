@@ -12,7 +12,7 @@ from itertools import combinations
 from . import bijections as bj
 from . import kunz, kunzcount, polybounds, stats
 from .core import SemigroupSet, _gap_sum, _min_gens_mask, _pf_mask, _windows, minimal_generators
-from .tree import _series, _tasks, _width
+from .tree import _root, _series, _tasks, _width
 
 __all__ = ["VerifyResult", "SUITES", "run_suite"]
 
@@ -47,7 +47,7 @@ def _first_failure(gmax, check):
     width = _width(gmax)
     seen = [0] * (gmax + 1)
     found = None
-    for state in _series(gmax):
+    for state in _series(_root(width), gmax, width - 1):
         g = state[8]
         seen[g] += 1
         if found is None or g < found[0]:
@@ -180,7 +180,7 @@ def verify_bijections(gmax=18):
     gmax_c = min(gmax, 15)
     by_m = {}  # (g, m) -> the gap masks with F < 2m
     targets = {}  # (g, k) -> the gap masks of C(k, g), checked after every B check
-    for mask, _, m, F, *_, g in _series(gmax):
+    for mask, _, m, F, *_, g in _series(_root(_width(gmax)), gmax, _width(gmax) - 1):
         k = _family(m, F)
         if k == 0:
             by_m.setdefault((g, m), set()).add(_gap_mask(mask, F))
@@ -217,7 +217,7 @@ def _sums(gmax):
     """(g, m, k) -> [e2, t2, pf_big, pf_small] summed over each family of
     ``_family``, g <= gmax; PF(S) is split at ceil((m+k)/2)."""
     sums = defaultdict(lambda: [0, 0, 0, 0])
-    for mask, _, m, F, _, e, pf, _, g in _series(gmax):
+    for mask, _, m, F, _, e, pf, _, g in _series(_root(_width(gmax)), gmax, _width(gmax) - 1):
         k = _family(m, F)
         if k is not None:
             e1, t1 = _windows(mask, m, F)
@@ -309,7 +309,7 @@ def _deficits(gmax, i):
     return Counter(
         (s[8], s[8] - s[i])
         for root in _tasks(width, gmax)
-        for s in _series(min(gmax, root[2] + DMAX), (root,), width)
+        for s in _series(root, min(gmax, root[2] + DMAX), width - 1)
         if s[8] - s[i] <= DMAX
     )
 

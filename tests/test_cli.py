@@ -482,3 +482,31 @@ def test_help_and_usage_errors_unchanged(capsys, monkeypatch, argv, code, out, e
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
     assert run(argv) == code
     assert capsys.readouterr() == (out, err)
+
+
+# The commands whose lines are pinned below: every per-genus statistics line
+# to genus 14, the JSON layout, each figure family, one probability of each
+# kind and the count path.
+PINNED_COMMANDS = (
+    [["stats", "--genus", str(g)] for g in range(15)]
+    + [["stats", "--genus", "12", "--json"]]
+    + [["figures", "--figure", str(f), "--gmax", "12"] for f in range(1, 6)]
+    + [
+        ["prob", "--genus", "12", "--member", "7"],
+        ["prob", "--genus", "12", "--pair", "7", "14"],
+        ["prob", "--genus", "12", "--predicate", "e_band", "--eps", "0.2"],
+        ["enumerate", "--genus", "14"],
+    ]
+)
+# sha256 of each command's argv, exit code, stdout and stderr, in that order,
+# as ``repr`` lines joined by newlines.
+PINNED_COMMANDS_SHA256 = "3fb65c3d23c01ffc95a33b21d1c5448eab4a085c02fa54bd4a10d67be62ee860"
+
+
+def test_cli_lines_pinned(capsys):
+    lines = []
+    for argv in PINNED_COMMANDS:
+        code = run(argv)
+        lines.append(repr((argv, code, *capsys.readouterr())))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_COMMANDS_SHA256, text

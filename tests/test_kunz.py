@@ -128,7 +128,7 @@ def test_multiplicity_tasks_hold_the_kunz_counts():
         per_m = Counter()
         for root in _tasks(width, g):
             m = root[2]
-            for state in _series(g, (root,), width):
+            for state in _series(root, g, width - 1):
                 assert state[2] == m, (g, state)
                 per_m[m] += state[8] == g
         kunz_counts = {m: len(enumerate_kunz_vectors(m, g)) for m in range(1, g + 2)}

@@ -183,10 +183,10 @@ def test_one_polynomial_class():
 
 def test_count_path_at_both_ends_of_the_multiplicity_range():
     # The task of each multiplicity m (O_m and every other semigroup of
-    # multiplicity m, walked to genus g) through the count path, _count_job and
-    # _levels, at genera whose masks are wider than any other count test
-    # reaches: against the closed form for m >= g - 6 and the Kunz vectors of
-    # (m, g) for m <= 6.  The classes with 6 < m < g - 6 stay unchecked at
+    # multiplicity m, walked to genus g) through the count path, _count_job,
+    # at genera whose masks are wider than any other count test reaches:
+    # against the closed form for m >= g - 6 and the Kunz vectors of (m, g)
+    # for m <= 6.  The classes with 6 < m < g - 6 stay unchecked at
     # these genera.  Every (g, g - m) used is in the closed form's proven
     # range, so no warning is raised.
     for g in (35, 45):

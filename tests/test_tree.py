@@ -18,7 +18,6 @@ from numsem.tree import (
     MAX_GENUS,
     _children,
     _count_job,
-    _levels,
     _root,
     _series,
     _series_job,
@@ -130,35 +129,37 @@ def test_kernel_state_matches_from_scratch(depth, data):
 
 
 def test_grandchildren_are_the_childrens_generators():
-    # _levels against _children applied n times, n = 0..4, in the width of a
-    # walk to genus 18, so that the fourth application stays inside the mask.
-    # No task of the split walks below an ordinary state.
+    # _count_job's levels below one root against _children applied n times,
+    # n = 0..4, in the width of a walk to genus 18, so that the fourth
+    # application stays inside the mask.  No task of the split walks below an
+    # ordinary state.
     width = _width(18)
     top = width - 1
-    for state in _series(14, width=width):
+    for state in _series(_root(width), 14, top):
         if state[4] >> state[2] & 1:
             continue
+        d = state[8]
         level, want = [state], []
         for n in range(5):
-            assert _levels(state, top, n) == want, (n, state)
+            assert _count_job(((state,), width, d + n))[d + 1:] == want, (n, state)
             level = [kid for s in level for kid in _children(s, top)]
             want = want + [len(level)]
 
 
 def _count_full_walk(roots, target, width):
     """The levels of a walk that builds every state down to ``target``: the
-    reference for ``_count_job``, which builds no state below the roots and
-    reads every level below them from ``_levels``."""
-    per_depth = Counter(s[8] for s in _series(target, roots, width))
+    reference for ``_count_job``, which builds no state below the roots."""
+    per_depth = Counter(s[8] for root in roots for s in _series(root, target, width - 1))
     return [per_depth[d] for d in range(target + 1)]
 
 
 def test_count_job_at_each_root_depth():
-    # Roots at depth d count every level below them, d + 1 .. target, with
-    # ``_levels``.  No task of the split has an ordinary root above its stop.
+    # Roots at depth d count every level below them, d + 1 .. target, on the
+    # job's one stack.  No task of the split has an ordinary root above its
+    # stop.
     for target in range(13):
         width = _width(target)
-        states = list(_series(target, width=width))
+        states = list(_series(_root(width), target, width - 1))
         for d in range(target + 1):
             at_d = [s for s in states if s[8] == d and not s[4] >> s[2] & 1]
             for roots in {tuple(at_d), tuple(at_d[:1]), tuple(at_d[1::2])} - {()}:
@@ -184,34 +185,34 @@ def test_count_job_of_each_task_is_a_full_walk():
 
 def test_add_children_is_add_of_each_child():
     # The batched add of the statistics walk's last level against the
-    # reference: _add of every child that _children builds.  No task of the
-    # split walks below an ordinary state.
+    # reference: the from-scratch add_leaf of every child that _children
+    # builds.  No task of the split walks below an ordinary state.
     width = _width(16)
     top = width - 1
-    for state in _series(15, width=width):
+    for state in _series(_root(width), 15, top):
         if state[4] >> state[2] & 1:
             continue
         batched, each = Accumulator(state[8] + 1, width), Accumulator(state[8] + 1, width)
         batched._add_children(state, top)
-        for mask, _, m, F, _, e, pf, alpha, _ in _children(state, top):
-            each._add(mask, m, F, e, pf.bit_count(), alpha)
+        for mask, _, m, F, *_ in _children(state, top):
+            each.add_leaf(mask, m, F)
         assert batched.finalize() == each.finalize(), _gaps(state)
 
 
 def test_add_grandchildren_is_add_of_each_grandchild():
     # The batched add of the statistics walk's last two levels against the
-    # reference: _add of every grandchild that _children builds twice.  No
-    # task of the split walks below an ordinary state.
+    # reference: the from-scratch add_leaf of every grandchild that _children
+    # builds twice.  No task of the split walks below an ordinary state.
     width = _width(16)
     top = width - 1
-    for state in _series(14, width=width):
+    for state in _series(_root(width), 14, top):
         if state[4] >> state[2] & 1:
             continue
         batched, each = Accumulator(state[8] + 2, width), Accumulator(state[8] + 2, width)
         batched._add_grandchildren(state, top)
         for kid in _children(state, top):
-            for mask, _, m, F, _, e, pf, alpha, _ in _children(kid, top):
-                each._add(mask, m, F, e, pf.bit_count(), alpha)
+            for mask, _, m, F, *_ in _children(kid, top):
+                each.add_leaf(mask, m, F)
         assert batched.finalize() == each.finalize(), _gaps(state)
 
 
@@ -241,7 +242,7 @@ def test_iter_semigroups_in_children_order():
 
 
 def test_series_restricted_to_a_depth_is_the_walk_order():
-    series = list(_series(12))
+    series = list(_series(_root(W), 12, W - 1))
     for g in range(13):
         assert [_gaps(s) for s in series if s[8] == g] == list(_leaves(_root(W), g)), g
 
@@ -279,7 +280,7 @@ def test_tasks_partition_the_tree():
         width = _width(g)
         levels, masks = [0] * (g + 1), set()
         for root in tree._tasks(width, g):
-            for state in _series(g, (root,), width):
+            for state in _series(root, g, width - 1):
                 # No state of a task, root included, has its m among its
                 # effective generators.
                 assert not state[4] >> state[2] & 1, (g, state)
@@ -308,7 +309,9 @@ def test_one_task_per_multiplicity(monkeypatch):
         width = _width(g)
         roots = tree._tasks(width, g)
         assert [(root[2], root[8]) for root in roots] == [(i + 1, i) for i in range(g + 1)], g
-        empty = {i for i, root in enumerate(roots) if not any(_levels(root, width - 1, g - i))}
+        empty = {
+            i for i, root in enumerate(roots) if not any(_count_job(((root,), width, g))[i + 1:])
+        }
         assert empty == {0, g}, g
     w = _width(12)
     assert _series_job(range(1, 13), ((tree._tasks(w, 12)[0],), w, 12)) == {}
@@ -509,13 +512,13 @@ def test_deep_subtrees_above_genus_30_are_the_from_scratch_fold():
         roots = [_descend(width, m, path) for m, path in specs]
         for root in roots:
             assert not root[4] >> root[2] & 1  # no task root above its stop is ordinary
-            assert _levels(root, width - 1, g - root[8])[-1] <= 2000, (g, root[8])
+            assert _count_job(((root,), width, g))[-1] <= 2000, (g, root[8])
         genera = range(min(root[8] for root in roots), g + 1)
         got = _series_job(genera, (tuple(roots), width, g))
         want = {h: Accumulator(h, width) for h in genera}
         records = {h: [] for h in genera}
         for root in roots:
-            for state in _series(g, (root,), width):
+            for state in _series(root, g, width - 1):
                 assert _core_failure(state, width) is None, (g, _gaps(state))
                 want[state[8]].add_leaf(state[0], state[2], state[3])
                 records[state[8]].append(invariants(SemigroupSet(state[0], width)))

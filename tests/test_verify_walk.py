@@ -8,15 +8,17 @@ from collections import Counter
 import pytest
 
 from numsem import verify
-from numsem.tree import _series
+from numsem.tree import _root, _series, _width
 from numsem.verify import DMAX, _deficits, run_suite
 
 
 @pytest.mark.parametrize("gmax", range(15))
 def test_deficits_tally_every_state(gmax):
     # Against every state of the walk to gmax, the deficits the suites read.
+    width = _width(gmax)
     for i in (2, 5):  # m, e
-        want = Counter((s[8], s[8] - s[i]) for s in _series(gmax) if s[8] - s[i] <= DMAX)
+        states = _series(_root(width), gmax, width - 1)
+        want = Counter((s[8], s[8] - s[i]) for s in states if s[8] - s[i] <= DMAX)
         assert _deficits(gmax, i) == want
 
 
