@@ -8,10 +8,8 @@ avoiding 2m + A + A.  The truncated series for the growth constant
 c = lim N(g)/phi^g is built from the same A_k data.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import SemigroupSet, semigroup_from_gaps
 from .errors import InvalidB, TruncationTooLarge
@@ -32,21 +30,19 @@ _PHI = (1.0 + _SQRT5) / 2.0
 MAX_TRUNCATION = 22
 
 
-@dataclass(frozen=True)
-class TypeSetA:
+class TypeSetA(namedtuple("TypeSetA", "k elements")):
     """A subset of [0, k-1] containing 0 whose sumset avoids k."""
 
-    k: int
-    elements: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        els = self.elements
-        if not els or els[0] != 0:
+    def __new__(cls, k, elements):
+        if not elements or elements[0] != 0:
             raise ValueError("a type set must contain 0")
-        if any(not 0 <= a < self.k for a in els):
+        if any(not 0 <= a < k for a in elements):
             raise ValueError("elements must lie in [0, k-1]")
-        if any(a + b == self.k for a in els for b in els):
+        if any(a + b == k for a in elements for b in elements):
             raise ValueError("sumset must avoid k")
+        return super().__new__(cls, k, elements)
 
     def sumset_low(self):
         """(A+A) intersected with [0, k], as a sorted tuple."""

@@ -8,8 +8,6 @@ are atomic (a unique temp file, fsync, rename) and corrupt files, or files
 holding another genus, are quarantined and recomputed.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os

@@ -9,9 +9,7 @@ with big-int bitwise arithmetic, which keeps the exhaustive enumeration fast
 enough to run at desk scale.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .errors import InfiniteGenus, NotAMember, NotASemigroup
@@ -166,29 +164,21 @@ class SemigroupSet:
 _FULL_MONOID = SemigroupSet(0b1111, 4)
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
+class InvariantRecord(
+    namedtuple(
+        "InvariantRecord",
+        "genus multiplicity frobenius embedding_dim e1 e2 type_t t1 t2 weight gap_sum",
+    )
+):
     """All scalar invariants of one semigroup."""
 
-    genus: int
-    multiplicity: int
-    frobenius: int
-    embedding_dim: int
-    e1: int
-    e2: int
-    type_t: int
-    t1: int
-    t2: int
-    weight: int
-    gap_sum: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AperyTable:
+class AperyTable(namedtuple("AperyTable", "modulus entries")):
     """Least member in each residue class modulo ``modulus``."""
 
-    modulus: int
-    entries: tuple
+    __slots__ = ()
 
 
 def semigroup_from_gaps(gaps):

@@ -10,9 +10,7 @@ characterization in these coordinates and an independent backtracking
 enumerator of valid vectors, used as a counting oracle against the tree walk.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import SemigroupSet, apery, semigroup_from_gaps
 from .errors import InvalidKunz
@@ -28,16 +26,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KunzVector:
-    multiplicity: int
-    coords: tuple
+class KunzVector(namedtuple("KunzVector", "multiplicity coords")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coords) != self.multiplicity - 1:
+    def __new__(cls, multiplicity, coords):
+        if len(coords) != multiplicity - 1:
             raise ValueError("coords must have length multiplicity - 1")
-        if any(x < 1 for x in self.coords):
+        if any(x < 1 for x in coords):
             raise ValueError("coords must be positive")
+        return super().__new__(cls, multiplicity, coords)
 
     @property
     def genus(self):

@@ -7,10 +7,8 @@ which of the remaining coordinates equal 2; counting the qualifying prefixes
 #{m(S) = g - k} and #{e(S) = g - l}, polynomial in g for fixed deficit.
 """
 
-from __future__ import annotations
-
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -53,15 +51,10 @@ def abc_stats(entries):
     return (a, b, c)
 
 
-@dataclass(frozen=True)
-class PrefixTuple:
+class PrefixTuple(namedtuple("PrefixTuple", "k entries a b c")):
     """A {1,2,3}-tuple of odd length 2k+1 with its (a, b, c) statistics."""
 
-    k: int
-    entries: tuple
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
     @classmethod
     def make(cls, entries):

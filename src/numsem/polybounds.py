@@ -7,8 +7,6 @@ division with remainder.  The same class, with Fraction coefficients, holds
 the counting polynomials of ``kunzcount``.
 """
 
-from __future__ import annotations
-
 from math import comb
 
 __all__ = [

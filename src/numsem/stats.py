@@ -6,11 +6,9 @@ off it is an exact rational (counts are exact integers; floats appear only at
 presentation time and in band boundaries involving irrational centers).
 """
 
-from __future__ import annotations
-
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import _bit_positions, _leaf, _windows
@@ -55,21 +53,24 @@ def decile_pairs(genus):
     return tuple((pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts)))
 
 
-@dataclass(frozen=True)
-class GenusAggregate:
-    """Mergeable exact statistics over all semigroups of one genus."""
+class GenusAggregate(
+    namedtuple(
+        "GenusAggregate", "genus count hist moments counters membership pairs pair_miss"
+    )
+):
+    """Mergeable exact statistics over all semigroups of one genus.
 
-    genus: int
-    count: int
-    hist: dict       # name -> tuple of counts (see _HIST_KEYS; offsets below)
-    moments: dict    # name -> exact integer sum
-    counters: dict   # threshold counters; "f_minus_2m" is a tuple of K_MAX counts
-    membership: tuple  # membership[n] = #{S : n in S} for n in [1, 2g]; index 0 unused
-    pairs: tuple       # tracked (i, j) pairs
-    pair_miss: tuple   # pair_miss[idx] = #{S : pairs[idx] disjoint from S}
+    hist: name -> tuple of counts (see _HIST_KEYS); "F" is indexed by F+1 (so
+    F=-1 lands at 0) and "fdiff" by (F - 2m) + genus + 2.
+    moments: name -> exact integer sum.
+    counters: threshold counters; "f_minus_2m" is a tuple of K_MAX counts.
+    membership: membership[n] = #{S : n in S} for n in [1, 2g]; index 0 unused.
+    pairs: the tracked (i, j) pairs.
+    pair_miss: pair_miss[idx] = #{S : pairs[idx] disjoint from S}.
+    The field ``count`` (the number of semigroups) shadows ``tuple.count``.
+    """
 
-    # hist index conventions: "F" is indexed by F+1 (so F=-1 lands at 0);
-    # "fdiff" is indexed by (F - 2m) + genus + 2.
+    __slots__ = ()
 
     @classmethod
     def empty(cls, genus):

@@ -35,8 +35,6 @@ byte-identical whatever the worker count.  The first parallel run imports
 ``concurrent.futures``.
 """
 
-from __future__ import annotations
-
 from functools import partial, reduce
 
 from .core import SemigroupSet

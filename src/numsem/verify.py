@@ -2,11 +2,8 @@
 brute-force enumeration.  Each suite returns (ok, detail), which ``run_suite``
 names; a failure's detail names the first counterexample: g, parameters, gaps."""
 
-from __future__ import annotations
-
 import warnings
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 from itertools import combinations
 
 from . import bijections as bj
@@ -20,11 +17,8 @@ KMAX = 4  # the F = 2m + k families checked, 0 < k <= KMAX
 DMAX = 3  # the largest deficit k (of m) and l (of e) counted in closed form
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    suite: str
-    ok: bool
-    detail: str
+class VerifyResult(namedtuple("VerifyResult", "suite ok detail")):
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.suite}: {'ok' if self.ok else 'FAIL'} ({self.detail})"

@@ -420,6 +420,28 @@ def test_import_loads_only_what_a_command_runs():
     assert not set(LAZY[:-1]) & set(loaded["stats"])  # stats writes no cache here
 
 
+# The records are named tuples: importing numsem, its CLI and the verify suites
+# loads neither dataclasses nor the inspect module it imports.
+_RECORD_IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import numsem, numsem.cli, numsem.verify
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_no_dataclasses():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c", _RECORD_IMPORT_PROBE], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    loaded = set(json.loads(res.stdout.splitlines()[-1]))
+    assert "numsem.verify" in loaded
+    assert not {"dataclasses", "inspect"} & loaded
+
+
 # The top-level help, the verify help and a verify usage error, byte for byte
 # as printed when cli still took the --suite choices from verify.SUITES.
 HELP = """\
