@@ -44,6 +44,10 @@ class TypeSetA(namedtuple("TypeSetA", "k elements")):
             raise ValueError("sumset must avoid k")
         return super().__new__(cls, k, elements)
 
+    @classmethod
+    def _make(cls, iterable):  # _replace calls _make, so both check as __new__ does
+        return cls(*iterable)
+
     def sumset_low(self):
         """(A+A) intersected with [0, k], as a sorted tuple."""
         k = self.k

@@ -36,6 +36,10 @@ class KunzVector(namedtuple("KunzVector", "multiplicity coords")):
             raise ValueError("coords must be positive")
         return super().__new__(cls, multiplicity, coords)
 
+    @classmethod
+    def _make(cls, iterable):  # _replace calls _make, so both check as __new__ does
+        return cls(*iterable)
+
     @property
     def genus(self):
         return sum(self.coords)

@@ -26,13 +26,12 @@ read it.
 
 ``_run`` is the one driver.  Every run splits the tree by multiplicity into
 root states, one per m, whose walks hold every state exactly once, with m
-no walked state's effective generator (see ``_tasks``).  A serial run folds
-them all in one job call in this process and returns its result as it is;
-a parallel run maps them, one per job, onto worker processes and merges the
-jobs' results (level counts, or one Accumulator per genus, by ``merge_in``).
-Every count is a sum, so the GenusAggregate, finalized once, is
-byte-identical whatever the worker count.  The first parallel run imports
-``concurrent.futures``.
+no walked state's effective generator (see ``_tasks``), and runs one job per
+root: in this process, in ascending m, when serial, and on worker processes
+when parallel.  It merges the jobs' results (level counts, or one
+Accumulator per genus, by ``merge_in``).  Every count is a sum, so the
+GenusAggregate, finalized once, is byte-identical whatever the worker
+count.  The first parallel run imports ``concurrent.futures``.
 """
 
 from functools import partial, reduce
@@ -110,42 +109,38 @@ def _series(root, stop, top):
 
 
 def _count_job(args):
-    """Nodes per depth 0 .. target below a batch of roots of ``_tasks``, each
-    root counted at its depth, building no state below the roots; m is among
-    no root's effective generators, so every descendant keeps its m.
+    """Nodes per depth 0 .. target below a root of ``_tasks``, the root
+    counted at its depth, building no state below it; m is not among the
+    root's effective generators, so every descendant keeps its m.
 
-    The walk keeps (mask, rev, m, eff, depth) per node on one stack and
-    follows ``_children``'s rules: a child's mask and rev flip one bit, and it
-    keeps the generators above y, plus y + m unless y + m = a + b, m < a,
-    b < y.  A node at depth j adds its generators at j + 1; one with j + 3 ==
-    target reads its children inline: a child with k generators has k
-    children and k(k+1)/2 grandchildren, less one per generator z of the
-    child with z + m = a + b (``_children``'s e - 1 test).
+    The walk keeps (mask, rev, eff, depth) per node on one stack and follows
+    ``_children``'s rules: a child's mask and rev flip one bit, and it keeps
+    the generators above y, plus y + m unless y + m = a + b, m < a, b < y.
+    A node at depth j adds its generators at j + 1; one with j + 3 == target
+    reads its children inline: a child with k generators has k children and
+    k(k+1)/2 grandchildren, less one per generator z of the child with
+    z + m = a + b (``_children``'s e - 1 test).
     """
-    roots, width, target = args
-    top = width - 1
+    (mask, rev, m, _, eff, *_, d), width, target = args
+    window, shift = 2 << m, width - m
     levels = [0] * (target + 1)
-    stack = []
+    levels[d] = 1
+    stack = [(mask, rev, eff, d)] if d < target else []
     push = stack.append
-    for mask, rev, m, _, eff, *_, d in roots:
-        levels[d] += 1
-        if d < target:
-            push((mask, rev, m, eff, d))
     while stack:
-        mask, rev, m, eff, j = stack.pop()
+        mask, rev, eff, j = stack.pop()
         j += 1  # the children's depth
         levels[j] += eff.bit_count()
         if j == target:
             continue
         inline, n2, n3 = j + 2 == target, 0, 0
-        window, shift = 2 << m, top + 1 - m
         while eff:
             low = eff & -eff
             eff ^= low  # the generators above y, which the child keeps
-            c, r = mask ^ low, rev ^ (1 << (top + 1 - low.bit_length()))
+            c, r = mask ^ low, rev ^ (1 << (width - low.bit_length()))
             kids = eff if c & (r >> (shift - low.bit_length())) & (low - window) else eff | low << m
             if not inline:
-                push((c, r, m, kids, j))
+                push((c, r, kids, j))
                 continue
             k = kids.bit_count()
             n2, n3 = n2 + k, n3 + k * (k + 1) // 2
@@ -162,34 +157,32 @@ def _count_job(args):
 
 def _series_job(genera, args):
     """{g: Accumulator} for each depth g <= target in ``genera`` that the
-    walks below a batch of roots of ``_tasks`` reach (a root's own depth, and
-    each deeper one if it has an effective generator), shared by the batch's
-    roots; no other state is accumulated.
+    walk below a root of ``_tasks`` reaches: the root's own depth d, and
+    each deeper one if the root has an effective generator; no other state
+    is accumulated.
 
-    A root's walk stops at depth max(d, target - 2), d its depth, and the
-    root alone is counted from scratch, by ``add_leaf``.  Each walked state
-    below ``target`` adds its children to the next genus
-    (``_add_children``), and each at target - 2 its grandchildren to
-    ``target`` (``_add_grandchildren``), when that genus is requested.  m is
-    no walked state's effective generator, so ``_children`` alone holds the
-    ordinary node's rule.
+    The walk stops at depth max(d, target - 2), and the root alone is
+    counted from scratch, by ``add_leaf``.  Each walked state below
+    ``target`` adds its children to the next genus (``_add_children``), and
+    each at target - 2 its grandchildren to ``target``
+    (``_add_grandchildren``), when that genus is requested.  m is no walked
+    state's effective generator, so ``_children`` alone holds the ordinary
+    node's rule.
     """
-    roots, width, target = args
-    top = width - 1
-    reached = {g for r in roots for g in range(r[8], target + 1 if r[4] else r[8] + 1)}
+    root, width, target = args
+    top, d = width - 1, root[8]
+    reached = range(d, target + 1 if root[4] else d + 1)
     accs = {g: Accumulator(g, width) for g in genera if g in reached}
     run = [accs.get(g) for g in range(target + 1)]
     last = run[target]
-    for root in roots:
-        d = root[8]
-        if run[d] is not None:
-            run[d].add_leaf(root[0], root[2], root[3])
-        for state in _series(root, max(d, target - 2), top):
-            g = state[8]
-            if g < target and run[g + 1] is not None:
-                run[g + 1]._add_children(state, top)
-            if g == target - 2 and last is not None:
-                last._add_grandchildren(state, top)
+    if run[d] is not None:
+        run[d].add_leaf(root[0], root[2], root[3])
+    for state in _series(root, max(d, target - 2), top):
+        g = state[8]
+        if g < target and run[g + 1] is not None:
+            run[g + 1]._add_children(state, top)
+        if g == target - 2 and last is not None:
+            last._add_grandchildren(state, top)
     return accs
 
 
@@ -212,25 +205,24 @@ def _tasks(width, target):
 
 
 def _run(gmax, threads, job, merge):
-    """The result of ``job`` for the roots of ``_tasks`` down to ``gmax``, in
-    width ``_width(gmax)``: of one batch of them all, in this process, with
-    one worker or at genus 0; else of one batch per root, run in one process
-    pool, the results combined by ``merge`` in the order they complete, so
-    ``merge`` must not depend on that order (every job's merge is a sum).
-    The pool module is imported by the first parallel run, never by a serial
-    one.
+    """The results of ``job`` for each root of ``_tasks`` down to ``gmax``,
+    in width ``_width(gmax)``, combined by ``merge``: in this process, in
+    ascending m, with one worker or at genus 0; else in one process pool, in
+    the order they complete, so ``merge`` must not depend on that order
+    (every job's merge is a sum).  The pool module is imported by the first
+    parallel run, never by a serial one.
     """
     width = _width(gmax)
     if threads is not None and threads < 1:
         raise ValueError("threads must be positive")
-    roots = _tasks(width, gmax)
+    jobs = [(root, width, gmax) for root in _tasks(width, gmax)]
     if gmax == 0 or threads is None or threads == 1:
-        return job((roots, width, gmax))
+        return reduce(merge, map(job, jobs))
     from concurrent.futures import ProcessPoolExecutor as pool_class, as_completed
     with (ProcessPoolExecutor or pool_class)(max_workers=threads) as pool:
         # as_completed lets go of each future it yields, so a result is held
         # only until it is merged.
-        done = as_completed([pool.submit(job, ((root,), width, gmax)) for root in roots])
+        done = as_completed([pool.submit(job, args) for args in jobs])
         return reduce(merge, (future.result() for future in done))
 
 
@@ -268,9 +260,8 @@ def series_accumulators(genera, threads=1):
     finalized, from a single tree walk down to the largest.
 
     Only the states of those depths are accumulated.  Each job keeps one
-    Accumulator per such depth its roots reach; a serial run's one job
-    reaches them all, and a parallel run merges its jobs' Accumulators, so
-    the bytes do not depend on the worker count.
+    Accumulator per such depth its root reaches, and every run merges its
+    jobs' Accumulators, so the bytes do not depend on the worker count.
     """
     genera = sorted(set(genera))
     _width(min(genera))  # a negative genus fails here, before the walk

@@ -145,7 +145,7 @@ def test_multiplicity_tasks_above_genus_30_are_the_kunz_slices():
         genera = {g - 2, g - 1, g}
         tasks = {root[2]: root for root in _tasks(width, g)}
         for m in ms:
-            accs = _series_job(genera, ((tasks[m],), width, g))
+            accs = _series_job(genera, (tasks[m], width, g))
             for h in genera:
                 want = Accumulator(h, width)
                 _add_kunz_leaves(want, m, h, width)

@@ -195,7 +195,7 @@ def test_count_path_at_both_ends_of_the_multiplicity_range():
         with warnings.catch_warnings():
             warnings.simplefilter("error", OutOfValidityRangeWarning)
             for m in [*range(2, 7), *range(g - 6, g + 1)]:
-                got = _count_job(((classes[m],), width, g))[g]
+                got = _count_job((classes[m], width, g))[g]
                 if m >= g - 6:
                     assert got == count_multiplicity_deficit(g, g - m), (g, m)
                 else:

@@ -138,3 +138,29 @@ def test_type_set_validation(args, message):
         TypeSetA(*args)
     with pytest.raises(ValueError, match=message):
         TypeSetA(k=args[0], elements=args[1])
+
+
+@pytest.mark.parametrize(
+    "rec, change, message",
+    [
+        (KunzVector(3, (2, 1)), {"coords": (1,)}, "coords must have length multiplicity - 1"),
+        (KunzVector(3, (2, 1)), {"coords": (2, 0)}, "coords must be positive"),
+        (TypeSetA(3, (0, 1)), {"elements": (1, 2)}, "a type set must contain 0"),
+        (TypeSetA(3, (0, 1)), {"elements": (0, 3)}, r"elements must lie in \[0, k-1\]"),
+        (TypeSetA(3, (0, 1)), {"k": 2}, "sumset must avoid k"),
+    ],
+)
+def test_replace_and_make_validate(rec, change, message):
+    # namedtuple's _replace and _make check as the constructor does.
+    with pytest.raises(ValueError, match=message):
+        rec._replace(**change)
+    with pytest.raises(ValueError, match=message):
+        type(rec)._make({**rec._asdict(), **change}.values())
+
+
+def test_valid_replace_keeps_the_record_type():
+    cases = ((KunzVector(3, (2, 1)), {"coords": (1, 1)}), (TypeSetA(3, (0, 1)), {"k": 4}))
+    for rec, change in cases:
+        new = rec._replace(**change)
+        assert type(new) is type(rec) and new == type(rec)(**{**rec._asdict(), **change})
+        assert type(rec)._make(new) == new

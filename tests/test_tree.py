@@ -4,7 +4,7 @@ import multiprocessing
 import sys
 import tracemalloc
 from collections import Counter
-from functools import partial
+from functools import partial, reduce
 
 import pytest
 from hypothesis import given, settings
@@ -141,7 +141,7 @@ def test_grandchildren_are_the_childrens_generators():
         d = state[8]
         level, want = [state], []
         for n in range(5):
-            assert _count_job(((state,), width, d + n))[d + 1:] == want, (n, state)
+            assert _count_job((state, width, d + n))[d + 1:] == want, (n, state)
             level = [kid for s in level for kid in _children(s, top)]
             want = want + [len(level)]
 
@@ -154,9 +154,9 @@ def _count_full_walk(roots, target, width):
 
 
 def test_count_job_at_each_root_depth():
-    # Roots at depth d count every level below them, d + 1 .. target, on the
-    # job's one stack.  No task of the split has an ordinary root above its
-    # stop.
+    # Roots at depth d count every level below them, d + 1 .. target; the
+    # levels of a set of roots are the sum of each root's.  No task of the
+    # split has an ordinary root above its stop.
     for target in range(13):
         width = _width(target)
         states = list(_series(_root(width), target, width - 1))
@@ -164,23 +164,22 @@ def test_count_job_at_each_root_depth():
             at_d = [s for s in states if s[8] == d and not s[4] >> s[2] & 1]
             for roots in {tuple(at_d), tuple(at_d[:1]), tuple(at_d[1::2])} - {()}:
                 want = _count_full_walk(roots, target, width)
-                assert _count_job((roots, width, target)) == want, (target, d, roots)
+                per_root = [_count_job((root, width, target)) for root in roots]
+                assert [sum(n) for n in zip(*per_root)] == want, (target, d, roots)
 
 
 def test_count_job_of_each_task_is_a_full_walk():
     # Every task of the multiplicity split against the walk that builds each
-    # state; and one batch of all the tasks, the serial run, against their sum.
+    # state; and the serial run against their sum.
     for g in range(8, 15):
         width = _width(g)
         levels = [0] * (g + 1)
-        tasks = tree._tasks(width, g)
-        for root in tasks:
-            got = _count_job(((root,), width, g))
+        for root in tree._tasks(width, g):
+            got = _count_job((root, width, g))
             assert got == _count_full_walk((root,), g, width), (g, root)
             for i, n in enumerate(got):
                 levels[i] += n
         assert levels == count_genus_series(g), g
-        assert _count_job((tasks, width, g)) == levels, g
 
 
 def test_add_children_is_add_of_each_child():
@@ -310,11 +309,11 @@ def test_one_task_per_multiplicity(monkeypatch):
         roots = tree._tasks(width, g)
         assert [(root[2], root[8]) for root in roots] == [(i + 1, i) for i in range(g + 1)], g
         empty = {
-            i for i, root in enumerate(roots) if not any(_count_job(((root,), width, g))[i + 1:])
+            i for i, root in enumerate(roots) if not any(_count_job((root, width, g))[i + 1:])
         }
         assert empty == {0, g}, g
     w = _width(12)
-    assert _series_job(range(1, 13), ((tree._tasks(w, 12)[0],), w, 12)) == {}
+    assert _series_job(range(1, 13), (tree._tasks(w, 12)[0], w, 12)) == {}
 
 
 def _series_bytes(genera, threads=1):
@@ -384,16 +383,27 @@ def test_two_level_stop_is_the_from_scratch_fold(shared_pool):
         assert _series_bytes(genera, 2) == want, genera
 
 
-def test_a_serial_run_merges_nothing(shared_pool, monkeypatch):
-    # A serial run returns its one job's Accumulators as they are; only a
-    # parallel run merges, in this process.
+def test_a_serial_run_folds_one_job_per_task(shared_pool, monkeypatch):
+    # A serial run calls its job once per task root, in ascending m, as a
+    # parallel run submits one job per root; the folded bytes are the
+    # parallel run's.
     parallel = _series_bytes(range(13), 2)
+    seen = []
 
-    def no_merge(self, other):
-        raise AssertionError("a serial run merges nothing")
+    def recording(job):
+        def wrapped(*args):
+            seen.append(args[-1][0][2])  # (root, width, target)'s root's m
+            return job(*args)
 
-    monkeypatch.setattr(Accumulator, "merge_in", no_merge)
+        return wrapped
+
+    monkeypatch.setattr(tree, "_count_job", recording(_count_job))
+    monkeypatch.setattr(tree, "_series_job", recording(_series_job))
+    assert count_genus_series(12) == KNOWN
+    assert seen == list(range(1, 14))
+    seen.clear()
     assert _series_bytes(range(13)) == parallel
+    assert seen == list(range(1, 14))
     assert enumerate_genus(12).canonical_bytes() == parallel[12]
 
 
@@ -432,9 +442,11 @@ def _peak(f, g):
 def test_memory_does_not_grow_with_the_number_of_semigroups():
     # N grows from 592 to 4,806 between genus 12 and 16; a list of the
     # leaves would grow the peak about 8x.  The peaks grow with the task
-    # list and the per-genus arrays instead: 1.70x for enumerate_genus and
-    # 1.86x for count_genus_series.  Each is called once before it is
-    # measured, so that no first-call allocation counts.
+    # list and the per-genus arrays instead, a serial run holding its running
+    # total and one task's result at once: over ten runs, 1.58x to 1.63x for
+    # enumerate_genus (59 -> 93 to 96 KB) and 1.40x to 1.46x for
+    # count_genus_series (3.7 -> 5.2 to 5.4 KB).  Each is called once before
+    # it is measured, so that no first-call allocation counts.
     for f in (enumerate_genus, count_genus_series):
         f(12)
         assert _peak(f, 16) < 2 * _peak(f, 12), f.__name__
@@ -502,19 +514,19 @@ def _descend(width, m, path):
 
 
 def test_deep_subtrees_above_genus_30_are_the_from_scratch_fold():
-    # _series_job over fixed roots down to genus g, one task per root in one
-    # batch, every depth from the shallowest root's accumulated: against
-    # add_leaf over the same states, and its e histograms and e counters
-    # against core.invariants, which no joint count reads.  Every visited
-    # state passes verify's from-scratch check.
+    # _series_job over fixed roots down to genus g, one job per root, the
+    # results merged, every depth from the shallowest root's accumulated:
+    # against add_leaf over the same states, and its e histograms and e
+    # counters against core.invariants, which no joint count reads.  Every
+    # visited state passes verify's from-scratch check.
     for g, specs in _DEEP_ROOTS.items():
         width = _width(g)
         roots = [_descend(width, m, path) for m, path in specs]
         for root in roots:
             assert not root[4] >> root[2] & 1  # no task root above its stop is ordinary
-            assert _count_job(((root,), width, g))[-1] <= 2000, (g, root[8])
+            assert _count_job((root, width, g))[-1] <= 2000, (g, root[8])
         genera = range(min(root[8] for root in roots), g + 1)
-        got = _series_job(genera, (tuple(roots), width, g))
+        got = reduce(tree._merge_series, (_series_job(genera, (r, width, g)) for r in roots))
         want = {h: Accumulator(h, width) for h in genera}
         records = {h: [] for h in genera}
         for root in roots:
