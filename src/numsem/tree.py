@@ -20,9 +20,10 @@ y > F (Bras-Amorós's tree), so ``Accumulator._add_grandchildren`` adds the
 last two levels from depth g - 2 without building a child.
 
 ``_series`` is the one walk of full states: a depth-first pre-order walk
-with an explicit stack.  Statistics (``series_accumulators``, and through it
-``enumerate_genus``), ``iter_semigroups`` and every tree-walking verify suite
-read it.
+with an explicit stack below a root of ``_tasks``.  Statistics read it one
+task at a time; ``iter_semigroups`` and the tree-walking verify suites read
+``_states``, every task in descending m.  The full monoid's state and
+``_children``'s y == m branch serve only the tests' walk from the tree's root.
 
 ``_run`` is the one driver.  Every run splits the tree by multiplicity into
 root states, one per m, whose walks hold every state exactly once, with m
@@ -166,8 +167,8 @@ def _series_job(genera, args):
     ``target`` adds its children to the next genus (``_add_children``), and
     each at target - 2 its grandchildren to ``target``
     (``_add_grandchildren``), when that genus is requested.  m is no walked
-    state's effective generator, so ``_children`` alone holds the ordinary
-    node's rule.
+    state's effective generator, so none takes ``_children``'s ordinary-node
+    branch, and the batched adds need no such rule.
     """
     root, width, target = args
     top, d = width - 1, root[8]
@@ -190,18 +191,25 @@ def _tasks(width, target):
     """Split the tree down to ``target`` into worker tasks by multiplicity
     (Fromentin and Hivert's split along the ordinary chain).
 
-    A task is one kernel state, the root of a walk to ``target``: O_m, at
-    depth m - 1, with m cleared from its effective generators, for m = 1 ..
-    target + 1 in ascending m.  The first child of O_m is always O_{m+1}, the
-    one child that m's removal skips, so task m holds O_m and every other
-    semigroup of multiplicity m, and the tasks hold every state of depth <=
-    ``target`` exactly once.  m is no effective generator of a task's states.
+    A task is one kernel state, the root of a walk to ``target``: O_m at
+    depth m - 1, for m = 1 .. target + 1 in ascending m, in closed form (gaps
+    and PF 1 .. m - 1, F = m - 1 but -1 at m = 1, e = m, gap sum m(m - 1)/2,
+    effective generators m + 1 .. 2m - 1: m is cleared).  The first child of
+    O_m is O_{m+1}, the one child that m's removal skips, so task m holds O_m
+    and every other semigroup of multiplicity m, and the tasks hold every
+    state of depth <= ``target`` exactly once, no state with m effective.
     """
-    state, roots = _root(width), []
-    for _ in range(target + 1):
-        roots.append(state[:4] + (state[4] & ~(1 << state[2]),) + state[5:])
-        state = _children(state, width - 1)[0]
-    return roots
+    full = (1 << width) - 1
+    return [(full ^ ((1 << m) - 2), full ^ (((1 << (m - 1)) - 1) << (width - m)), m, m - 1 or -1,
+             ((1 << (m - 1)) - 1) << (m + 1), m, (1 << m) - 2, m * (m - 1) // 2, m - 1)
+            for m in range(1, target + 2)]
+
+
+def _states(width, stop):
+    """The states of depth <= ``stop``, the walks of ``_tasks`` in descending m:
+    at each depth g, the root walk's order (O_{g+1}, task g's, task g - 1's, ...)."""
+    for root in reversed(_tasks(width, stop)):
+        yield from _series(root, stop, width - 1)
 
 
 def _run(gmax, threads, job, merge):
@@ -243,9 +251,9 @@ def _add_levels(a, b):
 
 def iter_semigroups(g):
     """Yield every SemigroupSet of genus g (single-threaded, ascending-child
-    order): the depth-g states of one series walk."""
+    order): the depth-g states of the task walks, in descending m."""
     width = _width(g)
-    for state in _series(_root(width), g, width - 1):
+    for state in _states(width, g):
         if state[8] == g:
             yield SemigroupSet(state[0], width)
 

@@ -9,7 +9,7 @@ from itertools import combinations
 from . import bijections as bj
 from . import kunz, kunzcount, polybounds, stats
 from .core import SemigroupSet, _gap_sum, _min_gens_mask, _pf_mask, _windows, minimal_generators
-from .tree import _root, _series, _tasks, _width
+from .tree import _series, _states, _tasks, _width
 
 __all__ = ["VerifyResult", "SUITES", "run_suite"]
 
@@ -36,12 +36,13 @@ def _fail(g, msg, S):
 
 def _first_failure(gmax, check):
     """(g, message, S) of check(state, width)'s first failure at the smallest
-    failing genus of one series walk, or None; and the number of states at each
-    depth.  S, the failing semigroup, is built only once check fails."""
+    failing genus of ``tree._states``, in the root walk's order within a
+    depth, or None; and the number of states at each depth.  S, the failing
+    semigroup, is built only once check fails."""
     width = _width(gmax)
     seen = [0] * (gmax + 1)
     found = None
-    for state in _series(_root(width), gmax, width - 1):
+    for state in _states(width, gmax):
         g = state[8]
         seen[g] += 1
         if found is None or g < found[0]:
@@ -82,7 +83,8 @@ def _core_failure(state, width):
     mask, which gives t, t2 (the PF below F - m + 1), each counted on its
     own, and the late gaps; the weight is counted from its definition
     (``_weight``) and checked against the gap sum.  Nothing else is read
-    from the kernel state before the last comparison."""
+    from the kernel state before the last comparison, whose effective
+    generators leave out m, as a task root O_m does (elsewhere F > m)."""
     mask = state[0]
     gaps = ~mask & ((1 << width) - 1)
     F, g = gaps.bit_length() - 1, gaps.bit_count()
@@ -107,7 +109,7 @@ def _core_failure(state, width):
     # Checked after the late gaps, which it would otherwise report as a t split.
     if pf.bit_count() != t1 + (pf & ((1 << max(F + 1 - m, 0)) - 1)).bit_count():
         return "t != t1+t2"
-    eff = gens >> (F + 1) << (F + 1)
+    eff = gens >> (F + 1) << (F + 1) & ~(1 << m)
     if state[2:] != (m, F, eff, gens.bit_count(), pf, alpha, g):
         return "kernel state != from-scratch"
 
@@ -174,7 +176,7 @@ def verify_bijections(gmax=18):
     gmax_c = min(gmax, 15)
     by_m = {}  # (g, m) -> the gap masks with F < 2m
     targets = {}  # (g, k) -> the gap masks of C(k, g), checked after every B check
-    for mask, _, m, F, *_, g in _series(_root(_width(gmax)), gmax, _width(gmax) - 1):
+    for mask, _, m, F, *_, g in _states(_width(gmax), gmax):
         k = _family(m, F)
         if k == 0:
             by_m.setdefault((g, m), set()).add(_gap_mask(mask, F))
@@ -211,7 +213,7 @@ def _sums(gmax):
     """(g, m, k) -> [e2, t2, pf_big, pf_small] summed over each family of
     ``_family``, g <= gmax; PF(S) is split at ceil((m+k)/2)."""
     sums = defaultdict(lambda: [0, 0, 0, 0])
-    for mask, _, m, F, _, e, pf, _, g in _series(_root(_width(gmax)), gmax, _width(gmax) - 1):
+    for mask, _, m, F, _, e, pf, _, g in _states(_width(gmax), gmax):
         k = _family(m, F)
         if k is not None:
             e1, t1 = _windows(mask, m, F)

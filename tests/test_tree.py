@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import hashlib
 import multiprocessing
@@ -5,13 +6,20 @@ import sys
 import tracemalloc
 from collections import Counter
 from functools import partial, reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numsem import tree
-from numsem.core import SemigroupSet, invariants, minimal_generators, pseudo_frobenius
+from numsem.core import (
+    SemigroupSet,
+    invariants,
+    minimal_generators,
+    pseudo_frobenius,
+    semigroup_from_gaps,
+)
 from numsem.errors import GenusTooLarge
 from numsem.stats import Accumulator, merge
 from numsem.tree import (
@@ -591,3 +599,96 @@ def test_threads_below_one_are_rejected():
             enumerate_genus(6, threads=threads)
     assert count_genus(8, threads=None) == count_genus(8, threads=1) == KNOWN[8]
     assert enumerate_genus(6, threads=None) == enumerate_genus(6, threads=1)
+
+
+def _reversed(mask, width):
+    return int(format(mask, f"0{width}b")[::-1], 2)
+
+
+def test_tasks_are_the_ordinary_chain_in_closed_form():
+    # At every target up to MAX_GENUS, the task roots against the chain walk
+    # from _root, each O_m with m cleared from its effective generators, and
+    # against the from-scratch values of O_m = semigroup_from_gaps(1 .. m-1).
+    for G in range(MAX_GENUS + 1):
+        width = _width(G)
+        state, chain, scratch = _root(width), [], []
+        for m in range(1, G + 2):
+            chain.append(state[:4] + (state[4] & ~(1 << state[2]),) + state[5:])
+            state = _children(state, width - 1)[0]
+            S = semigroup_from_gaps(range(1, m))
+            mask, F, gens = ((1 << width) - 1) ^ _bits(S.gaps()), S.frobenius, minimal_generators(S)
+            scratch.append((
+                mask, _reversed(mask, width), S.multiplicity, F,
+                _bits(y for y in gens if y > F and y != m), len(gens),
+                _bits(pseudo_frobenius(S)), sum(S.gaps()), S.genus,
+            ))
+        tasks = tree._tasks(width, G)
+        assert tasks == chain, G
+        assert tasks == scratch, G
+
+
+def _assert_from_scratch(state, width):
+    """The kernel state against the values core computes from its mask; a
+    task root's m, cleared from its effective generators, is left out."""
+    mask, rev, m, F, eff, e, pf, alpha, g = state
+    S = SemigroupSet(mask, width)
+    gens = minimal_generators(S)
+    assert (m, F, g) == (S.multiplicity, S.frobenius, S.genus)
+    assert eff == _bits(y for y in gens if y > F and y != m)
+    assert e == len(gens)
+    assert pf == _bits(pseudo_frobenius(S))
+    assert alpha == sum(S.gaps())
+    assert rev == _reversed(mask, width)
+    assert _core_failure(state, width) is None
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(2, MAX_GENUS), st.data())
+def test_random_deep_paths_from_the_task_roots(m, data):
+    # From the closed-form root O_m, in the width of a walk to MAX_GENUS, a
+    # random path through children that have children of their own, down to
+    # depth MAX_GENUS - 3 at most; each node against the from-scratch values.
+    # Below its end node d, three levels, or as many as MAX_GENUS leaves:
+    # counted, accumulated and checked against _children's states.
+    width = _width(MAX_GENUS)
+    top = width - 1
+    state = tree._tasks(width, MAX_GENUS)[m - 1]
+    while True:
+        _assert_from_scratch(state, width)
+        kids = [kid for kid in _children(state, top) if kid[4]]
+        if not kids or state[8] >= MAX_GENUS - 3:
+            break
+        state = kids[data.draw(st.integers(0, len(kids) - 1))]
+    d, target = state[8], min(state[8] + 3, MAX_GENUS)
+    levels = [[state]]
+    for _ in range(d, target):
+        levels.append([kid for s in levels[-1] for kid in _children(s, top)])
+    assert _count_job((state, width, target))[d + 1:] == [len(level) for level in levels[1:]]
+    want = []
+    for h, level in enumerate(levels, d):
+        each = Accumulator(h, width)
+        for s in level:
+            assert _core_failure(s, width) is None, _gaps(s)
+            each.add_leaf(s[0], s[2], s[3])
+        want.append(each.finalize())
+    # To d + 2, the grandchildren are added from d itself; to d + 3, from
+    # each child.
+    for t in range(max(d, target - 1), target + 1):
+        got = _series_job(range(d, t + 1), (state, width, t))
+        assert [got[h].finalize() for h in range(d, t + 1)] == want[:t - d + 1], t
+
+
+# Each way a module can name a function: a name, an attribute, an import.
+_NAME_FIELD = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def test_no_module_names_the_root_walk():
+    # The walk from the full monoid, _root, is the tests' reference: tree
+    # defines it and no module of the package, tree included, names it.
+    defined = 0
+    for path in sorted(Path(tree.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert getattr(node, _NAME_FIELD.get(type(node), ""), None) != "_root", (
+                path.name, node.lineno)
+            defined += isinstance(node, ast.FunctionDef) and node.name == "_root"
+    assert defined == 1
