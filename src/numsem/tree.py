@@ -22,8 +22,7 @@ last two levels from depth g - 2 without building a child.
 ``_series`` is the one walk of full states: a depth-first pre-order walk
 with an explicit stack below a root of ``_tasks``.  Statistics read it one
 task at a time; ``iter_semigroups`` and the tree-walking verify suites read
-``_states``, every task in descending m.  The full monoid's state and
-``_children``'s y == m branch serve only the tests' walk from the tree's root.
+``_states``, every task in descending m.
 
 ``_run`` is the one driver.  Every run splits the tree by multiplicity into
 root states, one per m, whose walks hold every state exactly once, with m
@@ -63,17 +62,13 @@ def _width(g):
     return 4 * g + 8
 
 
-def _root(width):
-    full = (1 << width) - 1
-    return (full, full, 1, -1, 0b10, 1, 0, 0, 0)
-
-
 def _children(state, top):
     """Kernel states of the children, in ascending order of the removed y.
 
-    Only y + m can become a generator: for a member a > m, y + a is
-    m + (y + a - m).  ``top`` is W - 1, so bit j of ``rev >> (top - n)`` is
-    set iff n - j is a member.
+    m must not be among the state's effective generators, as it is in no
+    state of ``_tasks``' walks.  Only y + m can become a generator: for a
+    member a > m, y + a is m + (y + a - m).  ``top`` is W - 1, so bit j of
+    ``rev >> (top - n)`` is set iff n - j is a member.
     """
     mask, rev, m, F, eff, e, pf, alpha, g = state
     g += 1
@@ -88,9 +83,7 @@ def _children(state, top):
         r = rev ^ (1 << ty)
         # PF(S - y) = {y} and the p in PF(S) with y - p not in S - y.
         p = pf & ~(r >> ty) | low
-        if y == m:  # S is ordinary; the child's generators are m+1 .. 2m+1
-            add((c, r, m + 1, y, ((1 << (m + 1)) - 1) << (m + 1), m + 1, p, alpha + y, g))
-        elif c & (r >> (ty - m)) & ((1 << (y + m)) - 2):  # y + m = a + b, a, b in c
+        if c & (r >> (ty - m)) & ((1 << (y + m)) - 2):  # y + m = a + b, a, b in c
             add((c, r, m, y, eff, e - 1, p, alpha + y, g))
         else:  # y + m is the one new generator
             add((c, r, m, y, eff | 1 << (y + m), e, p, alpha + y, g))
@@ -167,8 +160,7 @@ def _series_job(genera, args):
     ``target`` adds its children to the next genus (``_add_children``), and
     each at target - 2 its grandchildren to ``target``
     (``_add_grandchildren``), when that genus is requested.  m is no walked
-    state's effective generator, so none takes ``_children``'s ordinary-node
-    branch, and the batched adds need no such rule.
+    state's effective generator, as ``_children`` and the batched adds need.
     """
     root, width, target = args
     top, d = width - 1, root[8]
@@ -207,7 +199,7 @@ def _tasks(width, target):
 
 def _states(width, stop):
     """The states of depth <= ``stop``, the walks of ``_tasks`` in descending m:
-    at each depth g, the root walk's order (O_{g+1}, task g's, task g - 1's, ...)."""
+    at each depth g, ``iter_semigroups``' order (O_{g+1}, task g's, task g - 1's, ...)."""
     for root in reversed(_tasks(width, stop)):
         yield from _series(root, stop, width - 1)
 
@@ -250,8 +242,10 @@ def _add_levels(a, b):
 
 
 def iter_semigroups(g):
-    """Yield every SemigroupSet of genus g (single-threaded, ascending-child
-    order): the depth-g states of the task walks, in descending m."""
+    """Yield every SemigroupSet of genus g, single-threaded, in ascending-child
+    order: the pre-order of the tree rooted at the full monoid, each node's
+    children by ascending removed generator, restricted to genus g.  These
+    are the depth-g states of the task walks, in descending m."""
     width = _width(g)
     for state in _states(width, g):
         if state[8] == g:

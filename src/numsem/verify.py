@@ -36,7 +36,7 @@ def _fail(g, msg, S):
 
 def _first_failure(gmax, check):
     """(g, message, S) of check(state, width)'s first failure at the smallest
-    failing genus of ``tree._states``, in the root walk's order within a
+    failing genus of ``tree._states``, in ``iter_semigroups``' order within a
     depth, or None; and the number of states at each depth.  S, the failing
     semigroup, is built only once check fails."""
     width = _width(gmax)

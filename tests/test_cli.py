@@ -461,9 +461,18 @@ options:
   -h, --help            show this help message and exit
 """
 
-VERIFY_USAGE = """\
+# From Python 3.13 on, argparse wraps the verify usage line before --suite,
+# not between --suite and its choices; the parser is the same.
+if sys.version_info < (3, 13):
+    VERIFY_USAGE = """\
 usage: numsem verify [-h] [--threads THREADS] [--cache-dir CACHE_DIR] --suite
                      {bijections,core-invariants,counting-e,counting-m,e2-bounds,kunz-roundtrip,t2-bounds,t2-equality,membership}
+                     [--gmax GMAX] [--genus GENUS]
+"""
+else:
+    VERIFY_USAGE = """\
+usage: numsem verify [-h] [--threads THREADS] [--cache-dir CACHE_DIR]
+                     --suite {bijections,core-invariants,counting-e,counting-m,e2-bounds,kunz-roundtrip,t2-bounds,t2-equality,membership}
                      [--gmax GMAX] [--genus GENUS]
 """
 

@@ -12,7 +12,7 @@ from numsem.core import (
     semigroup_from_generators,
 )
 from numsem.errors import InfiniteGenus, NotAMember, NotASemigroup
-from numsem.tree import _root, _series, _width
+from numsem.tree import _states, _width
 
 
 def test_from_gaps_basic():
@@ -137,7 +137,7 @@ def test_gaps_roundtrip_or_witness(gaps):
 def test_sums_mask_is_the_all_pairs_sumset():
     # On [0, F+m], over every semigroup of genus <= 14.
     width = _width(14)
-    for mask, _, m, F, *_ in _series(_root(width), 14, width - 1):
+    for mask, _, m, F, *_ in _states(width, 14):
         top = F + m
         members = [a for a in range(1, top + 1) if mask >> a & 1]
         sums = {a + b for a in members for b in members if a + b <= top}

@@ -1,4 +1,3 @@
-import ast
 import concurrent.futures
 import hashlib
 import multiprocessing
@@ -6,7 +5,6 @@ import sys
 import tracemalloc
 from collections import Counter
 from functools import partial, reduce
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,9 +24,9 @@ from numsem.tree import (
     MAX_GENUS,
     _children,
     _count_job,
-    _root,
     _series,
     _series_job,
+    _states,
     _width,
     count_genus,
     count_genus_series,
@@ -50,26 +48,13 @@ def _gaps(state):
     return SemigroupSet(state[0], W).gaps()
 
 
-def test_root_child():
-    kids = _children(_root(W), W - 1)
-    assert len(kids) == 1
-    assert _gaps(kids[0]) == (1,)
-
-
 def test_children_of_gap1():
-    (state,) = _children(_root(W), W - 1)
-    assert state[4] == 1 << 2 | 1 << 3  # the effective generators 2 and 3
-    kids = _children(state, W - 1)
-    assert [_gaps(k) for k in kids] == [(1, 2), (1, 3)]
-
-
-def test_ordinary_children():
-    state = _root(W)
-    for _ in range(5):
-        state = _children(state, W - 1)[0]  # leftmost child stays ordinary
-    g = state[8]
-    assert _gaps(state) == tuple(range(1, g + 1))
-    assert len(_children(state, W - 1)) == g + 1
+    # <2, 3>, as the task root O_2, walks without its generator 2: its one
+    # child is <2, 5>, and the tree's other child of it, <3, 4, 5>, is O_3.
+    tasks = tree._tasks(W, 12)
+    assert tasks[1][4] == 1 << 3  # the effective generator 3
+    assert [_gaps(k) for k in _children(tasks[1], W - 1)] == [(1, 3)]
+    assert _gaps(tasks[2]) == (1, 2)
 
 
 def test_count_series():
@@ -116,22 +101,15 @@ def _bits(ns):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=20), st.data())
 def test_kernel_state_matches_from_scratch(depth, data):
-    # A random root-to-node path; the width is the one a walk to genus 20
-    # uses, so the shifts of the child step are as tight as they get.
+    # A random path from a task root O_m at depth m - 1 <= depth down to
+    # depth; the width is the one a walk to genus 20 uses, so the shifts of
+    # the child step are as tight as they get.
     width = _width(20)
-    state = _root(width)
-    for _ in range(depth + 1):
-        mask, rev, m, F, eff, e, pf, alpha, g = state
-        S = SemigroupSet(mask, width)
-        gens = minimal_generators(S)
-        assert (m, F, g) == (S.multiplicity, S.frobenius, S.genus)
-        assert eff == _bits(y for y in gens if y > F)
-        assert e == len(gens)
-        assert pf == _bits(pseudo_frobenius(S))
-        assert alpha == sum(S.gaps())
-        assert rev == int(format(mask, f"0{width}b")[::-1], 2)
+    state = tree._tasks(width, 20)[data.draw(st.integers(0, depth))]
+    while True:
+        _assert_from_scratch(state, width)
         kids = _children(state, width - 1)
-        if not kids:
+        if not kids or state[8] == depth:
             break
         state = kids[data.draw(st.integers(0, len(kids) - 1))]
 
@@ -139,13 +117,10 @@ def test_kernel_state_matches_from_scratch(depth, data):
 def test_grandchildren_are_the_childrens_generators():
     # _count_job's levels below one root against _children applied n times,
     # n = 0..4, in the width of a walk to genus 18, so that the fourth
-    # application stays inside the mask.  No task of the split walks below an
-    # ordinary state.
+    # application stays inside the mask.
     width = _width(18)
     top = width - 1
-    for state in _series(_root(width), 14, top):
-        if state[4] >> state[2] & 1:
-            continue
+    for state in _states(width, 14):
         d = state[8]
         level, want = [state], []
         for n in range(5):
@@ -163,13 +138,12 @@ def _count_full_walk(roots, target, width):
 
 def test_count_job_at_each_root_depth():
     # Roots at depth d count every level below them, d + 1 .. target; the
-    # levels of a set of roots are the sum of each root's.  No task of the
-    # split has an ordinary root above its stop.
+    # levels of a set of roots are the sum of each root's.
     for target in range(13):
         width = _width(target)
-        states = list(_series(_root(width), target, width - 1))
+        states = list(_states(width, target))
         for d in range(target + 1):
-            at_d = [s for s in states if s[8] == d and not s[4] >> s[2] & 1]
+            at_d = [s for s in states if s[8] == d]
             for roots in {tuple(at_d), tuple(at_d[:1]), tuple(at_d[1::2])} - {()}:
                 want = _count_full_walk(roots, target, width)
                 per_root = [_count_job((root, width, target)) for root in roots]
@@ -193,12 +167,10 @@ def test_count_job_of_each_task_is_a_full_walk():
 def test_add_children_is_add_of_each_child():
     # The batched add of the statistics walk's last level against the
     # reference: the from-scratch add_leaf of every child that _children
-    # builds.  No task of the split walks below an ordinary state.
+    # builds.
     width = _width(16)
     top = width - 1
-    for state in _series(_root(width), 15, top):
-        if state[4] >> state[2] & 1:
-            continue
+    for state in _states(width, 15):
         batched, each = Accumulator(state[8] + 1, width), Accumulator(state[8] + 1, width)
         batched._add_children(state, top)
         for mask, _, m, F, *_ in _children(state, top):
@@ -209,12 +181,10 @@ def test_add_children_is_add_of_each_child():
 def test_add_grandchildren_is_add_of_each_grandchild():
     # The batched add of the statistics walk's last two levels against the
     # reference: the from-scratch add_leaf of every grandchild that _children
-    # builds twice.  No task of the split walks below an ordinary state.
+    # builds twice.
     width = _width(16)
     top = width - 1
-    for state in _series(_root(width), 14, top):
-        if state[4] >> state[2] & 1:
-            continue
+    for state in _states(width, 14):
         batched, each = Accumulator(state[8] + 2, width), Accumulator(state[8] + 2, width)
         batched._add_grandchildren(state, top)
         for kid in _children(state, top):
@@ -233,25 +203,17 @@ def test_iter_semigroups_is_lazy():
     assert peak < 1 << 20
 
 
-def _leaves(state, depth):
-    """The gaps of the depth-``depth`` descendants of ``state``, by recursion
-    over ``_children``: the order reference, independent of the walk stack."""
-    if depth == 0:
-        yield _gaps(state)
-        return
-    for kid in _children(state, W - 1):
-        yield from _leaves(kid, depth - 1)
-
-
-def test_iter_semigroups_in_children_order():
+def test_iter_semigroups_in_children_order(preorder):
     for g in range(13):
-        assert [S.gaps() for S in iter_semigroups(g)] == list(_leaves(_root(W), g)), g
+        want = [S.gaps() for S in preorder if S.genus == g]
+        assert [S.gaps() for S in iter_semigroups(g)] == want, g
 
 
-def test_series_restricted_to_a_depth_is_the_walk_order():
-    series = list(_series(_root(W), 12, W - 1))
+def test_series_restricted_to_a_depth_is_the_walk_order(preorder):
+    series = list(_states(W, 12))
     for g in range(13):
-        assert [_gaps(s) for s in series if s[8] == g] == list(_leaves(_root(W), g)), g
+        want = [S.gaps() for S in preorder if S.genus == g]
+        assert [_gaps(s) for s in series if s[8] == g] == want, g
 
 
 def test_fibonacci_like_growth():
@@ -330,10 +292,268 @@ def _series_bytes(genera, threads=1):
     return {g: acc.finalize().canonical_bytes() for g, acc in accs.items()}
 
 
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_parallel_runs_under_each_start_method(method, monkeypatch):
+    # Workers that start from a fresh interpreter, not a fork of this one,
+    # unpickle the jobs and pickle back their results (Accumulators and
+    # level counts) with the serial bytes.
+    from concurrent.futures import ProcessPoolExecutor
+
+    serial = (
+        enumerate_genus(12).canonical_bytes(),
+        _series_bytes(range(13)),
+        count_genus_series(12),
+    )
+    pool = partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context(method))
+    monkeypatch.setattr(tree, "ProcessPoolExecutor", pool)
+    parallel = (
+        enumerate_genus(12, 2).canonical_bytes(),
+        _series_bytes(range(13), 2),
+        count_genus_series(12, 2),
+    )
+    assert parallel == serial
+
+
+def _peak(f, g):
+    """The tracemalloc peak of f(g), in bytes."""
+    tracemalloc.start()
+    try:
+        f(g)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_the_number_of_semigroups():
+    # N grows from 592 to 4,806 between genus 12 and 16; a list of the
+    # leaves would grow the peak about 8x.  The peaks grow with the task
+    # list and the per-genus arrays instead, a serial run holding its running
+    # total and one task's result at once: over ten runs, 1.58x to 1.63x for
+    # enumerate_genus (59 -> 93 to 96 KB) and 1.40x to 1.46x for
+    # count_genus_series (3.7 -> 5.2 to 5.4 KB).  Each is called once before
+    # it is measured, so that no first-call allocation counts.
+    for f in (enumerate_genus, count_genus_series):
+        f(12)
+        assert _peak(f, 16) < 2 * _peak(f, 12), f.__name__
+
+
+def test_series_edge_cases(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("genus 0 needs no worker pool")
+
+    with monkeypatch.context() as m:
+        m.setattr(tree, "ProcessPoolExecutor", no_pool)
+        assert _series_bytes([0], threads=2) == {0: enumerate_genus(0).canonical_bytes()}
+    # At genus 1 the root is the only chain node, and O_2 the only other
+    # task.
+    assert _series_bytes([0, 1], threads=2) == {
+        g: enumerate_genus(g).canonical_bytes() for g in (0, 1)
+    }
+
+
+# Roots of deep subtrees below genus g, each as (m, path): from the task root
+# O_m, the child of each index of ``path`` in turn, counted from the last
+# child when negative.  Index 0 of O_m, which walks without its generator m,
+# removes m + 1: the chain's neighbour.  Per genus: first children below that
+# neighbour, a mixed path, alternating first and second children, and a last
+# child; at 36 and 45 also a multiplicity above 32, whose e1 window [m, 2m)
+# reaches past bit 64.  Each subtree holds at most 2,000 leaves.
+_DEEP_ROOTS = {
+    26: (
+        (6, (0,) * 10),
+        (18, (1, 1, 0, 2)),
+        (13, (0, 1, 0, 1, 0, 1)),
+        (13, (0,) + (1,) * 6 + (-1,)),
+    ),
+    30: (
+        (8, (0,) * 16),
+        (20, (1, 1, 0, 2, 0)),
+        (15, (0, 1, 0, 1, 0, 1, 0, 1)),
+        (15, (0, 1, 0, 1, 0, 1, 0, 0, 0, -1)),
+    ),
+    36: (
+        (9, (0,) * 22),
+        (24, (1, 1, 0, 2, 0, 3)),
+        (18, (0, 1, 0, 1, 0, 1, 0, 1, 0, 1)),
+        (18, (0, 1, 0, 1, 0, 1, 0, 1, 0, 0, -1)),
+        (34, (0,)),
+    ),
+    45: (
+        (11, (0,) * 31),
+        (30, (1, 1, 0, 2, 0, 3, 1, 1, 0)),
+        (22, (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0)),
+        (22, (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, -1)),
+        (37, (0,) * 7),
+    ),
+}
+
+
+def _descend(width, g, m, path):
+    top = width - 1
+    state = tree._tasks(width, g)[m - 1]
+    for i in path:
+        state = _children(state, top)[i]
+    return state
+
+
+def test_deep_subtrees_above_genus_30_are_the_from_scratch_fold():
+    # _series_job over fixed roots down to genus g, one job per root, the
+    # results merged, every depth from the shallowest root's accumulated:
+    # against add_leaf over the same states, and its e histograms and e
+    # counters against core.invariants, which no joint count reads.  Every
+    # visited state passes verify's from-scratch check.
+    for g, specs in _DEEP_ROOTS.items():
+        width = _width(g)
+        roots = [_descend(width, g, m, path) for m, path in specs]
+        for root in roots:
+            assert _count_job((root, width, g))[-1] <= 2000, (g, root[8])
+        genera = range(min(root[8] for root in roots), g + 1)
+        got = reduce(tree._merge_series, (_series_job(genera, (r, width, g)) for r in roots))
+        want = {h: Accumulator(h, width) for h in genera}
+        records = {h: [] for h in genera}
+        for root in roots:
+            for state in _series(root, g, width - 1):
+                assert _core_failure(state, width) is None, (g, _gaps(state))
+                want[state[8]].add_leaf(state[0], state[2], state[3])
+                records[state[8]].append(invariants(SemigroupSet(state[0], width)))
+        assert set(got) == set(genera), g
+        for h in genera:
+            agg = got[h].finalize()
+            assert agg == want[h].finalize(), (g, h)
+            recs = records[h]
+            for name, field in (("e", "embedding_dim"), ("e1", "e1"), ("e2", "e2")):
+                c = Counter(getattr(r, field) for r in recs)
+                assert agg.hist[name] == tuple(c[i] for i in range(h + 2)), (g, h, name)
+            e_m = [(r.embedding_dim, r.multiplicity) for r in recs]
+            assert agg.counters["e_ge_m_half"] == sum(2 * e >= m for e, m in e_m), (g, h)
+            assert agg.counters["e_ge_m_third"] == sum(3 * e >= m for e, m in e_m), (g, h)
+
+
+def test_genus_24_aggregate_digest():
+    # The statistics path's bytes at genus 24, pinned: any change to the walk,
+    # the kernel or the accumulator that moves one count moves this digest.
+    digest = hashlib.sha256(enumerate_genus(24).canonical_bytes()).hexdigest()
+    assert digest == "72c38a053983e9ed610f49a8bc5393a99f6259c64d72c218d3e152a99f2bfca7"
+
+
+def test_parallel_counts_match_at_genus_20():
+    # The tasks' roots lie at every depth of the ordinary chain.
+    assert count_genus_series(20, threads=2) == count_genus_series(20)
+
+
+def test_merge_of_subtree_aggregates():
+    # the merged aggregate of the 2-worker split is the serial one
+    a = enumerate_genus(8, threads=2)
+    b = enumerate_genus(8, threads=1)
+    assert a == b
+    assert merge(a, type(a).empty(8)) == a
+
+
+def test_recursion_limit_unchanged():
+    # The walk is at most MAX_GENUS + 1 frames deep; a library call must
+    # leave the caller's interpreter limit alone.
+    old = sys.getrecursionlimit()
+    limit = old + 1  # a value no library call would pick
+    sys.setrecursionlimit(limit)
+    try:
+        count_genus_series(12)
+        enumerate_genus(12)
+        assert list(iter_semigroups(5))
+        assert sys.getrecursionlimit() == limit
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_threads_below_one_are_rejected():
+    for threads in (0, -3):
+        for g in (0, 8):
+            with pytest.raises(ValueError):
+                count_genus(g, threads=threads)
+        with pytest.raises(ValueError):
+            enumerate_genus(6, threads=threads)
+    assert count_genus(8, threads=None) == count_genus(8, threads=1) == KNOWN[8]
+    assert enumerate_genus(6, threads=None) == enumerate_genus(6, threads=1)
+
+
+def _reversed(mask, width):
+    return int(format(mask, f"0{width}b")[::-1], 2)
+
+
+def test_tasks_are_the_ordinary_chain_in_closed_form():
+    # At every target up to MAX_GENUS, the task roots against the
+    # from-scratch values of O_m = semigroup_from_gaps(1 .. m-1), each with m
+    # cleared from its effective generators.
+    for G in range(MAX_GENUS + 1):
+        width = _width(G)
+        scratch = []
+        for m in range(1, G + 2):
+            S = semigroup_from_gaps(range(1, m))
+            mask, F, gens = ((1 << width) - 1) ^ _bits(S.gaps()), S.frobenius, minimal_generators(S)
+            scratch.append((
+                mask, _reversed(mask, width), S.multiplicity, F,
+                _bits(y for y in gens if y > F and y != m), len(gens),
+                _bits(pseudo_frobenius(S)), sum(S.gaps()), S.genus,
+            ))
+        assert tree._tasks(width, G) == scratch, G
+
+
+def _assert_from_scratch(state, width):
+    """The kernel state against the values core computes from its mask; a
+    task root's m, cleared from its effective generators, is left out."""
+    mask, rev, m, F, eff, e, pf, alpha, g = state
+    S = SemigroupSet(mask, width)
+    gens = minimal_generators(S)
+    assert (m, F, g) == (S.multiplicity, S.frobenius, S.genus)
+    assert eff == _bits(y for y in gens if y > F and y != m)
+    assert e == len(gens)
+    assert pf == _bits(pseudo_frobenius(S))
+    assert alpha == sum(S.gaps())
+    assert rev == _reversed(mask, width)
+    assert _core_failure(state, width) is None
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(2, MAX_GENUS), st.data())
+def test_random_deep_paths_from_the_task_roots(m, data):
+    # From the closed-form root O_m, in the width of a walk to MAX_GENUS, a
+    # random path through children that have children of their own, down to
+    # depth MAX_GENUS - 3 at most; each node against the from-scratch values.
+    # Below its end node d, three levels, or as many as MAX_GENUS leaves:
+    # counted, accumulated and checked against _children's states.
+    width = _width(MAX_GENUS)
+    top = width - 1
+    state = tree._tasks(width, MAX_GENUS)[m - 1]
+    while True:
+        _assert_from_scratch(state, width)
+        kids = [kid for kid in _children(state, top) if kid[4]]
+        if not kids or state[8] >= MAX_GENUS - 3:
+            break
+        state = kids[data.draw(st.integers(0, len(kids) - 1))]
+    d, target = state[8], min(state[8] + 3, MAX_GENUS)
+    levels = [[state]]
+    for _ in range(d, target):
+        levels.append([kid for s in levels[-1] for kid in _children(s, top)])
+    assert _count_job((state, width, target))[d + 1:] == [len(level) for level in levels[1:]]
+    want = []
+    for h, level in enumerate(levels, d):
+        each = Accumulator(h, width)
+        for s in level:
+            assert _core_failure(s, width) is None, _gaps(s)
+            each.add_leaf(s[0], s[2], s[3])
+        want.append(each.finalize())
+    # To d + 2, the grandchildren are added from d itself; to d + 3, from
+    # each child.
+    for t in range(max(d, target - 1), target + 1):
+        got = _series_job(range(d, t + 1), (state, width, t))
+        assert [got[h].finalize() for h in range(d, t + 1)] == want[:t - d + 1], t
+
+
 @pytest.fixture(scope="module")
 def two_workers():
     """One two-worker process pool for the tests that run many small
-    parallel walks, shut down when the module's tests are done."""
+    parallel walks, shut down when the module's tests are done.  Its tests
+    come last in the module: a pool forked while this one's management
+    thread runs would fork a multi-threaded process."""
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(2) as pool:
@@ -413,282 +633,3 @@ def test_a_serial_run_folds_one_job_per_task(shared_pool, monkeypatch):
     assert _series_bytes(range(13)) == parallel
     assert seen == list(range(1, 14))
     assert enumerate_genus(12).canonical_bytes() == parallel[12]
-
-
-@pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_parallel_runs_under_each_start_method(method, monkeypatch):
-    # Workers that start from a fresh interpreter, not a fork of this one,
-    # unpickle the jobs and pickle back their results (Accumulators and
-    # level counts) with the serial bytes.
-    from concurrent.futures import ProcessPoolExecutor
-
-    serial = (
-        enumerate_genus(12).canonical_bytes(),
-        _series_bytes(range(13)),
-        count_genus_series(12),
-    )
-    pool = partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context(method))
-    monkeypatch.setattr(tree, "ProcessPoolExecutor", pool)
-    parallel = (
-        enumerate_genus(12, 2).canonical_bytes(),
-        _series_bytes(range(13), 2),
-        count_genus_series(12, 2),
-    )
-    assert parallel == serial
-
-
-def _peak(f, g):
-    """The tracemalloc peak of f(g), in bytes."""
-    tracemalloc.start()
-    try:
-        f(g)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_memory_does_not_grow_with_the_number_of_semigroups():
-    # N grows from 592 to 4,806 between genus 12 and 16; a list of the
-    # leaves would grow the peak about 8x.  The peaks grow with the task
-    # list and the per-genus arrays instead, a serial run holding its running
-    # total and one task's result at once: over ten runs, 1.58x to 1.63x for
-    # enumerate_genus (59 -> 93 to 96 KB) and 1.40x to 1.46x for
-    # count_genus_series (3.7 -> 5.2 to 5.4 KB).  Each is called once before
-    # it is measured, so that no first-call allocation counts.
-    for f in (enumerate_genus, count_genus_series):
-        f(12)
-        assert _peak(f, 16) < 2 * _peak(f, 12), f.__name__
-
-
-def test_series_edge_cases(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("genus 0 needs no worker pool")
-
-    with monkeypatch.context() as m:
-        m.setattr(tree, "ProcessPoolExecutor", no_pool)
-        assert _series_bytes([0], threads=2) == {0: enumerate_genus(0).canonical_bytes()}
-    # At genus 1 the root is the only chain node, and O_2 the only other
-    # task.
-    assert _series_bytes([0, 1], threads=2) == {
-        g: enumerate_genus(g).canonical_bytes() for g in (0, 1)
-    }
-
-
-# Roots of deep subtrees below genus g, each as (m, path): from O_m, the
-# child of each index of ``path`` in turn, counted from the last child when
-# negative.  Index 1 of O_m is the chain's neighbour.  Per genus: first
-# children below that neighbour, a mixed path, alternating first and second
-# children, and a last child; at 36 and 45 also a multiplicity above 32, whose
-# e1 window [m, 2m) reaches past bit 64.  Each subtree holds at most 2,000
-# leaves.
-_DEEP_ROOTS = {
-    26: (
-        (6, (1,) + (0,) * 9),
-        (18, (2, 1, 0, 2)),
-        (13, (1, 1, 0, 1, 0, 1)),
-        (13, (1,) * 7 + (-1,)),
-    ),
-    30: (
-        (8, (1,) + (0,) * 15),
-        (20, (2, 1, 0, 2, 0)),
-        (15, (1, 1, 0, 1, 0, 1, 0, 1)),
-        (15, (1, 1, 0, 1, 0, 1, 0, 0, 0, -1)),
-    ),
-    36: (
-        (9, (1,) + (0,) * 21),
-        (24, (2, 1, 0, 2, 0, 3)),
-        (18, (1, 1, 0, 1, 0, 1, 0, 1, 0, 1)),
-        (18, (1, 1, 0, 1, 0, 1, 0, 1, 0, 0, -1)),
-        (34, (1,)),
-    ),
-    45: (
-        (11, (1,) + (0,) * 30),
-        (30, (2, 1, 0, 2, 0, 3, 1, 1, 0)),
-        (22, (1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0)),
-        (22, (1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, -1)),
-        (37, (1,) + (0,) * 6),
-    ),
-}
-
-
-def _descend(width, m, path):
-    top = width - 1
-    state = _root(width)
-    for _ in range(m - 1):
-        state = _children(state, top)[0]
-    for i in path:
-        state = _children(state, top)[i]
-    return state
-
-
-def test_deep_subtrees_above_genus_30_are_the_from_scratch_fold():
-    # _series_job over fixed roots down to genus g, one job per root, the
-    # results merged, every depth from the shallowest root's accumulated:
-    # against add_leaf over the same states, and its e histograms and e
-    # counters against core.invariants, which no joint count reads.  Every
-    # visited state passes verify's from-scratch check.
-    for g, specs in _DEEP_ROOTS.items():
-        width = _width(g)
-        roots = [_descend(width, m, path) for m, path in specs]
-        for root in roots:
-            assert not root[4] >> root[2] & 1  # no task root above its stop is ordinary
-            assert _count_job((root, width, g))[-1] <= 2000, (g, root[8])
-        genera = range(min(root[8] for root in roots), g + 1)
-        got = reduce(tree._merge_series, (_series_job(genera, (r, width, g)) for r in roots))
-        want = {h: Accumulator(h, width) for h in genera}
-        records = {h: [] for h in genera}
-        for root in roots:
-            for state in _series(root, g, width - 1):
-                assert _core_failure(state, width) is None, (g, _gaps(state))
-                want[state[8]].add_leaf(state[0], state[2], state[3])
-                records[state[8]].append(invariants(SemigroupSet(state[0], width)))
-        assert set(got) == set(genera), g
-        for h in genera:
-            agg = got[h].finalize()
-            assert agg == want[h].finalize(), (g, h)
-            recs = records[h]
-            for name, field in (("e", "embedding_dim"), ("e1", "e1"), ("e2", "e2")):
-                c = Counter(getattr(r, field) for r in recs)
-                assert agg.hist[name] == tuple(c[i] for i in range(h + 2)), (g, h, name)
-            e_m = [(r.embedding_dim, r.multiplicity) for r in recs]
-            assert agg.counters["e_ge_m_half"] == sum(2 * e >= m for e, m in e_m), (g, h)
-            assert agg.counters["e_ge_m_third"] == sum(3 * e >= m for e, m in e_m), (g, h)
-
-
-def test_genus_24_aggregate_digest():
-    # The statistics path's bytes at genus 24, pinned: any change to the walk,
-    # the kernel or the accumulator that moves one count moves this digest.
-    digest = hashlib.sha256(enumerate_genus(24).canonical_bytes()).hexdigest()
-    assert digest == "72c38a053983e9ed610f49a8bc5393a99f6259c64d72c218d3e152a99f2bfca7"
-
-
-def test_parallel_counts_match_at_genus_20():
-    # The tasks' roots lie at every depth of the ordinary chain.
-    assert count_genus_series(20, threads=2) == count_genus_series(20)
-
-
-def test_merge_of_subtree_aggregates():
-    # the merged aggregate of the 2-worker split is the serial one
-    a = enumerate_genus(8, threads=2)
-    b = enumerate_genus(8, threads=1)
-    assert a == b
-    assert merge(a, type(a).empty(8)) == a
-
-
-def test_recursion_limit_unchanged():
-    # The walk is at most MAX_GENUS + 1 frames deep; a library call must
-    # leave the caller's interpreter limit alone.
-    old = sys.getrecursionlimit()
-    limit = old + 1  # a value no library call would pick
-    sys.setrecursionlimit(limit)
-    try:
-        count_genus_series(12)
-        enumerate_genus(12)
-        assert list(iter_semigroups(5))
-        assert sys.getrecursionlimit() == limit
-    finally:
-        sys.setrecursionlimit(old)
-
-
-def test_threads_below_one_are_rejected():
-    for threads in (0, -3):
-        for g in (0, 8):
-            with pytest.raises(ValueError):
-                count_genus(g, threads=threads)
-        with pytest.raises(ValueError):
-            enumerate_genus(6, threads=threads)
-    assert count_genus(8, threads=None) == count_genus(8, threads=1) == KNOWN[8]
-    assert enumerate_genus(6, threads=None) == enumerate_genus(6, threads=1)
-
-
-def _reversed(mask, width):
-    return int(format(mask, f"0{width}b")[::-1], 2)
-
-
-def test_tasks_are_the_ordinary_chain_in_closed_form():
-    # At every target up to MAX_GENUS, the task roots against the chain walk
-    # from _root, each O_m with m cleared from its effective generators, and
-    # against the from-scratch values of O_m = semigroup_from_gaps(1 .. m-1).
-    for G in range(MAX_GENUS + 1):
-        width = _width(G)
-        state, chain, scratch = _root(width), [], []
-        for m in range(1, G + 2):
-            chain.append(state[:4] + (state[4] & ~(1 << state[2]),) + state[5:])
-            state = _children(state, width - 1)[0]
-            S = semigroup_from_gaps(range(1, m))
-            mask, F, gens = ((1 << width) - 1) ^ _bits(S.gaps()), S.frobenius, minimal_generators(S)
-            scratch.append((
-                mask, _reversed(mask, width), S.multiplicity, F,
-                _bits(y for y in gens if y > F and y != m), len(gens),
-                _bits(pseudo_frobenius(S)), sum(S.gaps()), S.genus,
-            ))
-        tasks = tree._tasks(width, G)
-        assert tasks == chain, G
-        assert tasks == scratch, G
-
-
-def _assert_from_scratch(state, width):
-    """The kernel state against the values core computes from its mask; a
-    task root's m, cleared from its effective generators, is left out."""
-    mask, rev, m, F, eff, e, pf, alpha, g = state
-    S = SemigroupSet(mask, width)
-    gens = minimal_generators(S)
-    assert (m, F, g) == (S.multiplicity, S.frobenius, S.genus)
-    assert eff == _bits(y for y in gens if y > F and y != m)
-    assert e == len(gens)
-    assert pf == _bits(pseudo_frobenius(S))
-    assert alpha == sum(S.gaps())
-    assert rev == _reversed(mask, width)
-    assert _core_failure(state, width) is None
-
-
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(st.integers(2, MAX_GENUS), st.data())
-def test_random_deep_paths_from_the_task_roots(m, data):
-    # From the closed-form root O_m, in the width of a walk to MAX_GENUS, a
-    # random path through children that have children of their own, down to
-    # depth MAX_GENUS - 3 at most; each node against the from-scratch values.
-    # Below its end node d, three levels, or as many as MAX_GENUS leaves:
-    # counted, accumulated and checked against _children's states.
-    width = _width(MAX_GENUS)
-    top = width - 1
-    state = tree._tasks(width, MAX_GENUS)[m - 1]
-    while True:
-        _assert_from_scratch(state, width)
-        kids = [kid for kid in _children(state, top) if kid[4]]
-        if not kids or state[8] >= MAX_GENUS - 3:
-            break
-        state = kids[data.draw(st.integers(0, len(kids) - 1))]
-    d, target = state[8], min(state[8] + 3, MAX_GENUS)
-    levels = [[state]]
-    for _ in range(d, target):
-        levels.append([kid for s in levels[-1] for kid in _children(s, top)])
-    assert _count_job((state, width, target))[d + 1:] == [len(level) for level in levels[1:]]
-    want = []
-    for h, level in enumerate(levels, d):
-        each = Accumulator(h, width)
-        for s in level:
-            assert _core_failure(s, width) is None, _gaps(s)
-            each.add_leaf(s[0], s[2], s[3])
-        want.append(each.finalize())
-    # To d + 2, the grandchildren are added from d itself; to d + 3, from
-    # each child.
-    for t in range(max(d, target - 1), target + 1):
-        got = _series_job(range(d, t + 1), (state, width, t))
-        assert [got[h].finalize() for h in range(d, t + 1)] == want[:t - d + 1], t
-
-
-# Each way a module can name a function: a name, an attribute, an import.
-_NAME_FIELD = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
-
-
-def test_no_module_names_the_root_walk():
-    # The walk from the full monoid, _root, is the tests' reference: tree
-    # defines it and no module of the package, tree included, names it.
-    defined = 0
-    for path in sorted(Path(tree.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            assert getattr(node, _NAME_FIELD.get(type(node), ""), None) != "_root", (
-                path.name, node.lineno)
-            defined += isinstance(node, ast.FunctionDef) and node.name == "_root"
-    assert defined == 1

@@ -3,13 +3,13 @@ weight's definition, and a kernel Frobenius number that is off, which only
 the pass's own F can catch."""
 
 from numsem import tree
-from numsem.tree import _root, _series, _width
+from numsem.tree import _states, _width
 from numsem.verify import _gap_mask, _weight, run_suite
 
 
 def test_weight_is_the_members_below_each_gap():
     width = _width(14)
-    for mask, _, m, F, *_ in _series(_root(width), 14, width - 1):
+    for mask, _, m, F, *_ in _states(width, 14):
         gaps = [h for h in range(1, F + 1) if not mask >> h & 1]
         w = sum(sum(1 for n in range(1, h) if mask >> n & 1) for h in gaps)
         assert _weight(_gap_mask(mask, F)) == w, gaps

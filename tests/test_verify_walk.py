@@ -1,8 +1,9 @@
 """The verify suites' shortcuts against their plain definitions: the first
-failure of the task walks against the walk from the tree's root, the counting
-tally that walks each multiplicity's task of the split only as deep
-as a deficit of at most DMAX reaches, and the e split and the weight of
-core-invariants' one from-scratch pass, which must be able to fail."""
+failure of the task walks against the tree's pre-order, built from scratch
+(the ``preorder`` fixture), the counting tally that walks each
+multiplicity's task of the split only as deep as a deficit of at most DMAX
+reaches, and the e split and the weight of core-invariants' one
+from-scratch pass, which must be able to fail."""
 
 from collections import Counter
 
@@ -10,7 +11,7 @@ import pytest
 
 from numsem import verify
 from numsem.core import SemigroupSet
-from numsem.tree import _root, _series, _width
+from numsem.tree import _states, _width
 from numsem.verify import DMAX, _deficits, run_suite
 
 
@@ -19,7 +20,7 @@ def test_deficits_tally_every_state(gmax):
     # Against every state of the walk to gmax, the deficits the suites read.
     width = _width(gmax)
     for i in (2, 5):  # m, e
-        states = _series(_root(width), gmax, width - 1)
+        states = _states(width, gmax)
         want = Counter((s[8], s[8] - s[i]) for s in states if s[8] - s[i] <= DMAX)
         assert _deficits(gmax, i) == want
 
@@ -53,39 +54,43 @@ def test_core_invariants_checks_the_weight(monkeypatch):
     )
 
 
-def _m2_m3_check(state, width):
+def _m2_m3(S):
     """Fails at multiplicity 2 and 3 from genus 3 on, where 3 does not divide
     F, naming m and F: genus 3 fails in tasks 2 and 3, never at O_{g+1}, the
-    first state of depth g."""
-    _, _, m, F, *_, g = state
-    if m in (2, 3) and g >= 3 and F % 3:
+    first semigroup of genus g."""
+    m, F = S.multiplicity, S.frobenius
+    if m in (2, 3) and S.genus >= 3 and F % 3:
         return f"m={m} F={F}"
 
 
-def _first_failure_from_the_root(gmax, check):
-    """verify._first_failure's loop over the walk from the tree's root."""
-    width = _width(gmax)
+def _m2_m3_check(state, width):
+    return _m2_m3(SemigroupSet(state[0], width))
+
+
+def _first_failure_from_scratch(preorder, gmax):
+    """verify._first_failure's rule over the tree's pre-order to genus gmax:
+    the first failure of the smallest failing genus, and the count per genus."""
     seen = [0] * (gmax + 1)
     found = None
-    for state in _series(_root(width), gmax, width - 1):
-        g = state[8]
+    for S in preorder:
+        g = S.genus
+        if g > gmax:
+            continue
         seen[g] += 1
         if found is None or g < found[0]:
-            msg = check(state, width)
+            msg = _m2_m3(S)
             if msg:
-                found = (g, msg, SemigroupSet(state[0], width))
+                found = (g, msg, S)
     return found, seen
 
 
-def test_first_failure_is_the_root_walks():
-    width = _width(12)
-    states = list(_series(_root(width), 12, width - 1))
-    failing = [s for s in states if _m2_m3_check(s, width)]
-    assert len({s[8] for s in failing}) >= 3
-    smallest = min(s[8] for s in failing)
-    assert len({s[2] for s in failing if s[8] == smallest}) >= 2
-    firsts = {s[8]: s for s in reversed(states)}  # the first state of each depth
-    assert all(firsts[s[8]] is not s for s in failing)
+def test_first_failure_is_the_root_walks(preorder):
+    failing = [S for S in preorder if _m2_m3(S)]
+    assert len({S.genus for S in failing}) >= 3
+    smallest = min(S.genus for S in failing)
+    assert len({S.multiplicity for S in failing if S.genus == smallest}) >= 2
+    firsts = {S.genus: S for S in reversed(preorder)}  # the first of each genus
+    assert all(firsts[S.genus] is not S for S in failing)
     for gmax in range(13):
-        want = _first_failure_from_the_root(gmax, _m2_m3_check)
+        want = _first_failure_from_scratch(preorder, gmax)
         assert verify._first_failure(gmax, _m2_m3_check) == want, gmax
