@@ -321,96 +321,66 @@ class Accumulator:
             j += 256
         self.decile_gaps[key] = self.decile_gaps.get(key, 0) + 1
 
-    def _add_children(self, state, top):
-        """``add_leaf`` of every child of a tree kernel state whose m is not
-        among its effective generators, one level above the genus (the
-        children of ``tree._children``), read from the parent through
-        ``_leaves`` without building a child.  Their gaps below their
-        Frobenius numbers are the parent's, whose bytes count once per child."""
-        mask, rev, m, F, eff, e, pf, alpha, _ = state
-        if not eff:
-            return
-        g = self.genus
-        n = eff.bit_count()
-        gaps = ~mask & ((1 << (F + 1)) - 1)
-        gb = self.gap_bytes
-        for j, b in zip(_BYTE_OFFSETS, gaps.to_bytes((F + 8) >> 3, "little")):
-            gb[j + b] += n
-        e1 = (mask >> m & ((1 << m) - 1)).bit_count()
-        wb = alpha - g * (g + 1) // 2 - 1
-        self._leaves(m, top, ((mask, rev, eff, pf, gaps, e, e1, wb, ~mask & self._decile_mask),))
-
     def _add_grandchildren(self, state, top):
-        """``_add_children`` of every child of a tree kernel state whose m is
+        """``add_leaf`` of every grandchild of a tree kernel state whose m is
         not among its effective generators, two levels above the genus,
-        building no child state.  Each child follows ``_children``'s rules for
-        its y.  A grandchild's gaps below its Frobenius number are the parent's
-        and y: the parent's gap bytes count once per grandchild, and y alone
-        once per child's child."""
+        building no state.  A child removes a generator y by ``_children``'s
+        rules, and its children each of its generators z.  A grandchild's gaps
+        below its Frobenius number are the state's and y: the state's gap
+        bytes count once per grandchild, and y alone once per child's child.
+        Its PF is z and the p in the child's PF with z - p a gap, and its gaps
+        in (z - m, z] are z and the child's gaps above z - m, so with
+        b = z + 1 and z left out of both, (t, t1) is counted at
+        tb + t * tk + t1.  e loses one when z + m = a + b with m < a, b < z
+        (``tree._children``'s test), e1 when z < 2m; likewise for y."""
         mask, rev, m, F, eff, e, pf, alpha, _ = state
         g = self.genus
+        ee, me, tt, mf, hw = self.e_e1, self.m_e, self.t_t1, self.m_F, self.w
+        dg, gb = self.decile_gaps, self.gap_bytes
+        dmask = self._decile_mask
+        ek, tk = self._ek, self._tk
+        tb, eb, mb = tk + 1, m * ek, m * self._fk
+        rb, m2 = top + 1, 2 << m
+        rmb = rb - m
+        below = 1 << 2 * m  # n < 2m iff the bit 1 << n < below
         gaps = ~mask & ((1 << (F + 1)) - 1)
         e1 = (mask >> m & ((1 << m) - 1)).bit_count()
         wb = alpha - g * (g + 1) // 2 - 1
-        dmask = self._decile_mask
         key = ~mask & dmask
-        gb = self.gap_bytes
         total = 0
-        nodes = []
         while eff:
             low = eff & -eff
             eff ^= low  # the generators above y, which the child keeps
             y = low.bit_length() - 1
-            drop = mask & (rev >> (top - m - y)) & (low - (2 << m))  # y + m = a + b
+            ty = top - y
+            drop = mask & (rev >> (ty - m)) & (low - m2)  # y + m = a + b
             kids = eff if drop else eff | low << m
             if not kids:
                 continue
             n = kids.bit_count()
             total += n
             gb[(y >> 3 << 8) + (1 << (y & 7))] += n
-            r = rev ^ (1 << (top - y))
-            nodes.append((
-                mask ^ low, r, kids, pf & ~(r >> (top - y)) | low, gaps | low,
-                e - 1 if drop else e, e1 - 1 if y < 2 * m else e1, wb + y, key | low & dmask,
-            ))
+            c, r = mask ^ low, rev ^ (1 << ty)
+            nr, cgaps, ck = ~r, gaps | low, key | low & dmask
+            cpf = pf & ~(r >> ty) | low
+            ce = e - 1 if drop else e
+            ce1 = e1 - 1 if low < below else e1
+            cwb = wb + y
+            while kids:
+                z = kids & -kids
+                kids ^= z
+                b = z.bit_length()
+                t = (cpf & (nr >> (rb - b))).bit_count()
+                tt[tb + t * tk + (cgaps >> (b - m)).bit_count()] += 1
+                mf[mb + b] += 1
+                hw[cwb + b] += 1
+                ze = ce - 1 if c & (r >> (rmb - b)) & (z - m2) else ce
+                ee[ze * ek + (ce1 - 1 if z < below else ce1)] += 1
+                me[eb + ze] += 1
+                k = ck | z & dmask
+                dg[k] = dg.get(k, 0) + 1
         for j, b in zip(_BYTE_OFFSETS, gaps.to_bytes((F + 8) >> 3, "little")):
             gb[j + b] += total
-        self._leaves(m, top, nodes)
-
-    def _leaves(self, m, top, nodes):
-        """Count the children of ``nodes`` (mask, rev, effective generators,
-        PF, gaps, e, e1, w offset, decile key), which share m and lack it among
-        their effective generators, all but their gap bytes.  A child's PF is y
-        and the p in PF with y - p a gap, and its gaps in (y - m, y] are y and
-        the node's gaps above y - m, so with b = y + 1 and y left out of both,
-        (t, t1) is counted at tb + t * tk + t1.  e loses one when y + m = a + b
-        with m < a, b < y (``tree._children``'s test), e1 when y < 2m."""
-        ee, me, tt, mf, hw = self.e_e1, self.m_e, self.t_t1, self.m_F, self.w
-        dg = self.decile_gaps
-        dmask = self._decile_mask
-        ek, tk = self._ek, self._tk
-        tb = tk + 1
-        eb = m * ek
-        mb = m * self._fk
-        rb = top + 1
-        rmb = rb - m
-        m2 = 2 << m
-        below = 1 << 2 * m  # y < 2m iff 1 << y < below
-        for mask, rev, eff, pf, gaps, e, e1, wb, key in nodes:
-            nrev = ~rev
-            while eff:
-                low = eff & -eff
-                eff ^= low
-                b = low.bit_length()
-                t = (pf & (nrev >> (rb - b))).bit_count()
-                tt[tb + t * tk + (gaps >> (b - m)).bit_count()] += 1
-                mf[mb + b] += 1
-                hw[wb + b] += 1
-                ce = e - 1 if mask & (rev >> (rmb - b)) & (low - m2) else e
-                ee[ce * ek + (e1 - 1 if low < below else e1)] += 1
-                me[eb + ce] += 1
-                k = key | low & dmask
-                dg[k] = dg.get(k, 0) + 1
 
     def merge_in(self, other):
         """Add the counts of another accumulator of the same genus."""

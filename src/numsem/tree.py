@@ -15,9 +15,10 @@ task's root, by Fromentin and Hivert's rule: a node's children are its
 effective generators, and ``_count_job`` derives each child's from them by
 ``_children``'s rule (a child loses one when y + m = a + b), so it walks
 (mask, rev, m, eff) alone, to any depth.
-Statistics stop two levels early: every child is its parent plus one gap
-y > F (Bras-Amorós's tree), so ``Accumulator._add_grandchildren`` adds the
-last two levels from depth g - 2 without building a child.
+Statistics add every genus two levels early: every child is its parent
+plus one gap y > F (Bras-Amorós's tree), so ``Accumulator._add_grandchildren``
+adds each state's grandchildren to its depth + 2 without building a child;
+only a task root's children are counted from their states.
 
 ``_series`` is the one walk of full states: a depth-first pre-order walk
 with an explicit stack below a root of ``_tasks``.  Statistics read it one
@@ -155,27 +156,25 @@ def _series_job(genera, args):
     each deeper one if the root has an effective generator; no other state
     is accumulated.
 
-    The walk stops at depth max(d, target - 2), and the root alone is
-    counted from scratch, by ``add_leaf``.  Each walked state below
-    ``target`` adds its children to the next genus (``_add_children``), and
-    each at target - 2 its grandchildren to ``target``
-    (``_add_grandchildren``), when that genus is requested.  m is no walked
-    state's effective generator, as ``_children`` and the batched adds need.
+    The root and its children are counted from scratch, by ``add_leaf``,
+    and every deeper state by its grandparent: each walked state of depth
+    <= target - 2 with a generator adds its grandchildren to a requested
+    depth + 2 (``_add_grandchildren``).  m is no walked state's effective
+    generator, as ``_children`` and the batched add need.
     """
     root, width, target = args
     top, d = width - 1, root[8]
     reached = range(d, target + 1 if root[4] else d + 1)
     accs = {g: Accumulator(g, width) for g in genera if g in reached}
-    run = [accs.get(g) for g in range(target + 1)]
-    last = run[target]
+    run = [accs.get(g) for g in range(target + 3)]
     if run[d] is not None:
         run[d].add_leaf(root[0], root[2], root[3])
-    for state in _series(root, max(d, target - 2), top):
-        g = state[8]
-        if g < target and run[g + 1] is not None:
-            run[g + 1]._add_children(state, top)
-        if g == target - 2 and last is not None:
-            last._add_grandchildren(state, top)
+    if run[d + 1] is not None:
+        for mask, _, m, F, *_ in _children(root, top):
+            run[d + 1].add_leaf(mask, m, F)
+    for state in _series(root, target - 2, top):
+        if state[4] and run[state[8] + 2] is not None:
+            run[state[8] + 2]._add_grandchildren(state, top)
     return accs
 
 

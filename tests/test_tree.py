@@ -164,20 +164,6 @@ def test_count_job_of_each_task_is_a_full_walk():
         assert levels == count_genus_series(g), g
 
 
-def test_add_children_is_add_of_each_child():
-    # The batched add of the statistics walk's last level against the
-    # reference: the from-scratch add_leaf of every child that _children
-    # builds.
-    width = _width(16)
-    top = width - 1
-    for state in _states(width, 15):
-        batched, each = Accumulator(state[8] + 1, width), Accumulator(state[8] + 1, width)
-        batched._add_children(state, top)
-        for mask, _, m, F, *_ in _children(state, top):
-            each.add_leaf(mask, m, F)
-        assert batched.finalize() == each.finalize(), _gaps(state)
-
-
 def test_add_grandchildren_is_add_of_each_grandchild():
     # The batched add of the statistics walk's last two levels against the
     # reference: the from-scratch add_leaf of every grandchild that _children
