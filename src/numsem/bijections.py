@@ -13,6 +13,7 @@ from collections import namedtuple
 
 from .core import SemigroupSet, semigroup_from_gaps
 from .errors import InvalidB, TruncationTooLarge
+from .polybounds import binomial
 
 __all__ = [
     "TypeSetA",
@@ -104,14 +105,13 @@ def semigroup_from_AB(m, k, A, B):
 
 def count_B(g, m):
     """|B(g, m)|: semigroups of genus g, multiplicity m, and F < 2m."""
-    return math.comb(m - 1, 2 * m - g - 2) if 0 <= 2 * m - g - 2 <= m - 1 else 0
+    return binomial(m - 1, 2 * m - g - 2)
 
 
 def count_C(m, k, A, g):
     """|C(m, k, A, g)|: genus-g semigroups with F = 2m + k and S cap [m, m+k] = m + A."""
     s = len(A.sumset_low())
-    n, r = m - 1 - s, 2 * m - g + k - len(A.elements) - s
-    return math.comb(n, r) if 0 <= r <= n else 0
+    return binomial(m - 1 - s, 2 * m - g + k - len(A.elements) - s)
 
 
 def zhai_partial_sums(K):

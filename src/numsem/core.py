@@ -34,8 +34,6 @@ def _sums_mask(mask, m, F):
     [m, (F+m)//2]: a sum s <= F+m has a <= s/2.  Positions above F+m may
     miss sums.
     """
-    if F < m:
-        return 0
     pmask = mask & ~1
     sums = 0
     sub = (mask >> m) & ((1 << ((F - m) // 2 + 1)) - 1)
@@ -66,8 +64,6 @@ def _pf_mask(mask, m, F, gens_mask):
     A gap P is pseudo-Frobenius iff P + a is a member for every minimal
     generator a; closure extends this to every positive member.
     """
-    if F < 0:
-        return 0
     gaps = ~mask & ((1 << (F + 1)) - 1)
     ext = mask | (-1 << (F + 1))  # everything past F is a member
     pf = gaps
@@ -129,7 +125,7 @@ class SemigroupSet:
         gaps = ~mask & full
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "capacity", capacity)
-        object.__setattr__(self, "frobenius", gaps.bit_length() - 1 if gaps else -1)
+        object.__setattr__(self, "frobenius", gaps.bit_length() - 1)
         object.__setattr__(self, "genus", gaps.bit_count())
         pos = mask & ~1
         object.__setattr__(self, "multiplicity", (pos & -pos).bit_length() - 1)
@@ -204,7 +200,6 @@ def semigroup_from_gaps(gaps):
         for a in range(m, s - m + 1):
             if (mask >> a) & 1 and (mask >> (s - a)) & 1:
                 raise NotASemigroup(s, (a, s - a))
-        raise NotASemigroup(s, (m, s - m))  # unreachable, defensive
     return SemigroupSet(mask, capacity)
 
 
@@ -216,32 +211,17 @@ def semigroup_from_generators(gens):
     gens = sorted(set(gens))
     if not gens or gens[0] < 1:
         raise ValueError("generators must be positive integers")
-    d = 0
-    for a in gens:
-        d = gcd(d, a)
+    d = gcd(*gens)
     if d != 1:
         raise InfiniteGenus(f"gcd of generators is {d}")
-    m = gens[0]
-    if m == 1:
-        return _FULL_MONOID
-    # Schur bound: F <= (m-1)(max-1) - 1 for a coprime generating set
-    bound = (m - 1) * (gens[-1] - 1) + 2 * m + 2
-    mask = 1
+    # Schur bound: every gap of a coprime generating set is below (min-1)(max-1)
+    top = (gens[0] - 1) * (gens[-1] - 1)
+    mask, full = 1, (1 << top) - 1
     for a in gens:
-        mask |= 1 << a
-    for n in range(m + 1, bound):
-        if not (mask >> n) & 1:
-            for a in gens:
-                if a > n:
-                    break
-                if (mask >> (n - a)) & 1:
-                    mask |= 1 << n
-                    break
-    full = (1 << bound) - 1
-    gaps = ~mask & full
-    F = gaps.bit_length() - 1
-    capacity = F + 2 * m + 2
-    return SemigroupSet(mask & ((1 << capacity) - 1), capacity)
+        while a < top:  # close under adding a: shifts by a, 2a, 4a, ...
+            mask |= mask << a & full
+            a *= 2
+    return semigroup_from_gaps(_bit_positions(~mask & full))
 
 
 def minimal_generators(S):

@@ -76,8 +76,6 @@ def kunz_of(S):
 def semigroup_of_kunz(kv):
     """The semigroup whose Apery set (mod m) is m*k_i + i."""
     m = kv.multiplicity
-    if m == 1:
-        return semigroup_from_gaps(())
     bad = _violation(m, kv.coords)
     if bad is not None:
         raise InvalidKunz(*bad)
@@ -91,8 +89,6 @@ def semigroup_of_kunz(kv):
 def generators_from_kunz(kv):
     """Minimal generators read directly off the coordinates (no semigroup built)."""
     m = kv.multiplicity
-    if m == 1:
-        return {1}
     bad = _violation(m, kv.coords)
     if bad is not None:
         raise InvalidKunz(*bad)
@@ -124,8 +120,6 @@ def enumerate_kunz_vectors(m, g):
     (x_j + x_i + 1 >= x_{j+i-m}, j <= i) from below; the remaining sum, with
     at least 1 for each coordinate left, caps it too.
     """
-    if m == 1:
-        return [KunzVector(1, ())] if g == 0 else []
     n = m - 1
     out = []
     x = [0] * n
@@ -156,6 +150,4 @@ def enumerate_kunz_vectors(m, g):
 
 def count_by_kunz(g):
     """N(g) computed independently of the tree: sum valid vectors over m <= g+1."""
-    if g == 0:
-        return 1
-    return sum(len(enumerate_kunz_vectors(m, g)) for m in range(2, g + 2))
+    return sum(len(enumerate_kunz_vectors(m, g)) for m in range(1, g + 2))

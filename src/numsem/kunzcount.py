@@ -192,8 +192,6 @@ def f_polynomial(k):
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k > MAX_K:
-        raise KTooLarge(f"k={k} exceeds the guard {MAX_K}")
     total = ExactPolynomial()
     for p in generate_Y(k):
         total = total + _binom_poly(3 * k + 2, k + 1 - p.a - 2 * p.b)

@@ -59,8 +59,6 @@ class ExactPolynomial:
         if not isinstance(other, ExactPolynomial):  # an int or Fraction scalar
             return ExactPolynomial(tuple(x * other for x in self.coeffs))
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ExactPolynomial()
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:

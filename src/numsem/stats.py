@@ -120,10 +120,10 @@ def _hist_sizes(g):
         "e": g + 2,
         "e1": g + 2,
         "e2": g + 2,
-        "t": g + 1 if g else 1,
-        "t1": g + 1 if g else 1,
-        "t2": g + 1 if g else 1,
-        "w": g * (g - 1) + 1 if g > 1 else 1,
+        "t": g + 1,
+        "t1": g + 1,
+        "t2": g + 1,
+        "w": g * (g - 1) + 1,
         "fdiff": 3 * g + 2,
     }
 

@@ -165,6 +165,8 @@ def test_band_predicate_without_eps_says_so(capsys):
 def test_prob_subcommand(capsys):
     assert run(["prob", "--genus", "4", "--member", "3"]) == 0
     assert "2/7" in capsys.readouterr().out
+    assert run(["prob", "--genus", "4", "--member", "3", "--json"]) == 0
+    assert capsys.readouterr().out == '{"probability": "0.285714285714", "exact": "2/7"}\n'
     assert run(["prob", "--genus", "4", "--predicate", "e_ge_m_half"]) == 0
     capsys.readouterr()
     assert run(["prob", "--genus", "4"]) == 2

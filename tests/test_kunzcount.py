@@ -50,6 +50,8 @@ def test_generate_Y_sizes():
     assert len(generate_Y(2)) == 34
     with pytest.raises(KTooLarge):
         generate_Y(9)
+    with pytest.raises(KTooLarge, match="k=9 exceeds the guard 8"):
+        f_polynomial(kunzcount.MAX_K + 1)
 
 
 def test_Y_conditions_hold():

@@ -101,6 +101,12 @@ def test_proportions(agg4):
         proportion(agg4, "e_band")
     p = proportion(agg4, ("e_band", 0.5))
     assert 0 <= p <= 1
+    sgs = list(iter_semigroups(4))
+    for eps in (0.1, 0.3):
+        in_m = sum(abs(S.multiplicity - GAMMA * 4) < eps * 4 for S in sgs)
+        in_fdiff = sum(abs(S.frobenius - 2 * S.multiplicity) < eps * 4 for S in sgs)
+        assert proportion(agg4, ("m_band", eps)) == Fraction(in_m, len(sgs))
+        assert proportion(agg4, ("fdiff_band", eps)) == Fraction(in_fdiff, len(sgs))
 
 
 def test_genus0_band():

@@ -580,8 +580,9 @@ def test_series_is_the_per_genus_aggregates(shared_pool):
 
 
 def test_two_level_stop_is_the_from_scratch_fold(shared_pool):
-    # The genera sets that reach the walk's last two levels, serial and with
-    # 2 workers, against add_leaf folded over iter_semigroups.
+    # The {g - 1, g} and {g - 2, g} sets reach a task root's children and
+    # grandchildren, serial and with 2 workers, against add_leaf folded over
+    # iter_semigroups.
     folded = {}
     for g in range(13):
         acc = Accumulator(g, _width(g))

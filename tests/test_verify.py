@@ -53,6 +53,12 @@ INJECTED = [
         "kunz-roundtrip: FAIL (g=7: 39 semigroups vs 40 vectors)",
     ),
     (
+        "kunz-roundtrip", kunz, "generators_from_kunz",
+        lambda kv: kv.genus == 9, lambda gens, kv: gens - {kv.multiplicity},
+        "kunz-roundtrip: FAIL (g=9 S=gaps[1, 2, 3, 4, 5, 6, 7, 8, 9]: "
+        "generator characterization)",
+    ),
+    (
         "bijections", bijections, "count_B",
         lambda g, m: (g, m) == (9, 7), _plus_one,
         "bijections: FAIL (g=9 m=7: |images| != count_B)",
@@ -101,6 +107,11 @@ INJECTED = [
         "counting-e", kunzcount, "count_embedding_deficit",
         lambda g, l: (g, l) == (9, 1), _plus_one,
         "counting-e: FAIL (g=9 l=1: 10 != 9)",
+    ),
+    (
+        "counting-e", kunzcount, "H_polynomial",
+        lambda l: l == 1, lambda H, l: 2 * H,
+        "counting-e: FAIL (g=8 l=1: H_l mismatch)",
     ),
     (
         # The walk meets the genus-9 failures before <2, 15>, the last
