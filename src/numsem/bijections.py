@@ -8,12 +8,12 @@ avoiding 2m + A + A.  The truncated series for the growth constant
 c = lim N(g)/phi^g is built from the same A_k data.
 """
 
-import math
 from collections import namedtuple
 
 from .core import SemigroupSet, semigroup_from_gaps
 from .errors import InvalidB, TruncationTooLarge
 from .polybounds import binomial
+from .stats import PHI, SQRT5
 
 __all__ = [
     "TypeSetA",
@@ -26,8 +26,6 @@ __all__ = [
     "zhai_partial_sums",
 ]
 
-_SQRT5 = math.sqrt(5.0)
-_PHI = (1.0 + _SQRT5) / 2.0
 MAX_TRUNCATION = 22
 
 
@@ -121,12 +119,12 @@ def zhai_partial_sums(K):
         raise ValueError("K must be nonnegative")
     if K > MAX_TRUNCATION:
         raise TruncationTooLarge(f"K={K} exceeds the guard {MAX_TRUNCATION}")
-    total = _PHI / _SQRT5
+    total = PHI / SQRT5
     sums = [total]
     for k in range(1, K + 1):
         for A in generate_Ak(k):
             exp = len(A.elements) - len(A.sumset_low()) - k - 1
-            total += _PHI**exp / _SQRT5
+            total += PHI**exp / SQRT5
         sums.append(total)
     return sums
 

@@ -41,28 +41,19 @@ def _fmt(x):
 # ---------------------------------------------------------------- cache
 
 def _to_strings(obj):
-    if isinstance(obj, bool):
-        raise TypeError("unexpected boolean in aggregate payload")
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, list):
         return [_to_strings(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _to_strings(v) for k, v in obj.items()}
-    return obj
+    return {k: _to_strings(v) for k, v in obj.items()}
 
 
 def _from_strings(obj):
     if isinstance(obj, str):
-        try:
-            return int(obj)
-        except ValueError:
-            return obj
+        return int(obj)
     if isinstance(obj, list):
         return [_from_strings(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _from_strings(v) for k, v in obj.items()}
-    return obj
+    return {k: _from_strings(v) for k, v in obj.items()}
 
 
 def _checksum(payload):
@@ -103,6 +94,16 @@ def cache_put(cache_dir, agg, wall_time=0.0):
     return path
 
 
+def _quarantine(path, message):
+    """Move the file at ``path`` aside with a .corrupt suffix and raise
+    CorruptCache(message); another reader may have moved it already."""
+    try:
+        os.replace(path, path + ".corrupt")
+    except FileNotFoundError:
+        pass
+    raise CorruptCache(message) from None
+
+
 def cache_get(cache_dir, genus):
     """Cached aggregate, or None on miss / version skew.
 
@@ -111,26 +112,23 @@ def cache_get(cache_dir, genus):
     CorruptCache is raised; callers recompute.
     """
     path = _cache_path(cache_dir, genus)
-    if not os.path.exists(path):
-        return None
     try:
         with open(path) as fh:
             payload = json.load(fh)
         if not isinstance(payload, dict):
             raise ValueError("not a JSON object")
+    except FileNotFoundError:
+        return None
     except (OSError, ValueError):  # ValueError: JSONDecodeError, UnicodeDecodeError
-        os.replace(path, path + ".corrupt")
-        raise CorruptCache(f"unreadable cache file quarantined: {path}") from None
+        _quarantine(path, f"unreadable cache file quarantined: {path}")
     if payload.get("version") != str(CACHE_VERSION):
         return None
     stored = payload.get("checksum")
     actual = _checksum({k: v for k, v in payload.items() if k != "checksum"})
     if stored != actual:
-        os.replace(path, path + ".corrupt")
-        raise CorruptCache(f"checksum mismatch, quarantined: {path}")
+        _quarantine(path, f"checksum mismatch, quarantined: {path}")
     if payload.get("genus") != str(genus):
-        os.replace(path, path + ".corrupt")
-        raise CorruptCache(f"holds genus {payload.get('genus')}, quarantined: {path}")
+        _quarantine(path, f"holds genus {payload.get('genus')}, quarantined: {path}")
     body = {
         k: v
         for k, v in payload.items()

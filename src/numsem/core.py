@@ -156,10 +156,6 @@ class SemigroupSet:
         return f"SemigroupSet(gaps={list(self.gaps())})"
 
 
-# F=-1, m=1: capacity F+2m+2 = 3, rounded up to 4.
-_FULL_MONOID = SemigroupSet(0b1111, 4)
-
-
 class InvariantRecord(
     namedtuple(
         "InvariantRecord",
@@ -183,12 +179,10 @@ def semigroup_from_gaps(gaps):
     Raises NotASemigroup if the complement is not closed under addition.
     """
     gaps = set(gaps)
-    if not gaps:
-        return _FULL_MONOID
-    if min(gaps) < 1:
+    if min(gaps, default=1) < 1:
         raise ValueError("gaps must be positive integers")
-    F = max(gaps)
-    m = next(i for i in range(1, F + 2) if i not in gaps)
+    F = max(gaps, default=-1)
+    m = next(i for i in range(1, F + 3) if i not in gaps)
     capacity = F + 2 * m + 2
     mask = (1 << capacity) - 1
     for h in gaps:

@@ -73,15 +73,13 @@ def generate_Y(k):
         raise ValueError("k must be at least -1")
     if k > MAX_K:
         raise KTooLarge(f"k={k} exceeds the guard {MAX_K}")
-    if k == -1:
-        return [PrefixTuple.make(())]
     n = 2 * k + 1
     out = []
     cur = []
 
     def extend(a, b):
         pos = len(cur)
-        if pos == n:
+        if pos >= n:  # n = -1 for Y(-1) = {()}
             out.append(PrefixTuple.make(tuple(cur)))
             return
         for v in (1, 2, 3):
@@ -96,6 +94,11 @@ def generate_Y(k):
 
     extend(0, 0)
     return out
+
+
+def _below(g, threshold):
+    """Warn, at the caller of the public count, that g is below ``threshold``."""
+    warnings.warn(f"g={g} is below {threshold}", OutOfValidityRangeWarning, stacklevel=3)
 
 
 def _prefix_term(g, p):
@@ -120,22 +123,14 @@ def count_fixed_prefix(g, k1, k2, prefix):
             f"a+b-c = {p.a + p.b - p.c} != 2*k1+1-k2 = {2 * k1 + 1 - k2}"
         )
     if g < 4 * k1 + 3:
-        warnings.warn(
-            f"g={g} is below the proven threshold 4*k1+3={4 * k1 + 3}",
-            OutOfValidityRangeWarning,
-            stacklevel=2,
-        )
+        _below(g, f"the proven threshold 4*k1+3={4 * k1 + 3}")
     return _prefix_term(g, p)
 
 
 def count_multiplicity_deficit(g, k):
     """#{S of genus g with m(S) = g - k}; proven exact for g >= 4k+3."""
     if g < 4 * k + 3:
-        warnings.warn(
-            f"g={g} is below the proven threshold 4k+3={4 * k + 3}",
-            OutOfValidityRangeWarning,
-            stacklevel=2,
-        )
+        _below(g, f"the proven threshold 4k+3={4 * k + 3}")
     return sum(_prefix_term(g, p) for p in generate_Y(k))
 
 
@@ -150,12 +145,7 @@ def count_embedding_deficit(g, l):
     if l > MAX_K:
         raise LTooLarge(f"l={l} exceeds the guard {MAX_K}")
     if 2 * g < 9 * l + 7 or g < 4 * l + 3:
-        warnings.warn(
-            f"g={g} is below a proven threshold (4l+3={4 * l + 3}, "
-            f"(9l+7)/2={(9 * l + 7) / 2})",
-            OutOfValidityRangeWarning,
-            stacklevel=2,
-        )
+        _below(g, f"a proven threshold (4l+3={4 * l + 3}, (9l+7)/2={(9 * l + 7) / 2})")
     return sum(_prefix_term(g, p) for p in _embedding_prefixes(l))
 
 

@@ -108,16 +108,14 @@ def binomial(n, k):
     return comb(n, k)
 
 
-_fib_cache = [0, 1, 1]
-
-
 def fibonacci(n):
     """F_1 = F_2 = 1, F_{n+2} = F_{n+1} + F_n."""
     if n < 1:
         raise ValueError("n must be positive")
-    while len(_fib_cache) <= n:
-        _fib_cache.append(_fib_cache[-1] + _fib_cache[-2])
-    return _fib_cache[n]
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 def coefficient(p, d):

@@ -1,9 +1,9 @@
 """Per-genus aggregation and the statistical quantities derived from it.
 
-A GenusAggregate is a commutative monoid: per-worker accumulators are merged
-once at the end of an enumeration, and every probability or expectation read
-off it is an exact rational (counts are exact integers; floats appear only at
-presentation time and in band boundaries involving irrational centers).
+A GenusAggregate is a commutative monoid; every run, serial or parallel,
+merges its tasks' Accumulators (``merge_in``) and finalizes once.  Every
+probability or expectation read off it is an exact rational (counts are exact
+integers; floats appear only in output and in band edges with irrational centers).
 """
 
 import json
@@ -263,8 +263,8 @@ class Accumulator:
 
     add_leaf only counts (joint counts, the histogram of w, gap bytes per
     offset, gap sets among the decile points) and finalize derives the rest,
-    so a parallel run merges its tasks' accumulators with merge_in and
-    finalizes once.  The counts do not depend on ``capacity``, the walk's
+    so every run merges its tasks' accumulators with merge_in and finalizes
+    once.  The counts do not depend on ``capacity``, the walk's
     mask width.  Not thread-safe; each task owns one.
     """
 

@@ -5,16 +5,16 @@ strictly greater than F(S); re-adding the Frobenius number recovers the
 unique parent, so the tree rooted at the full monoid visits every numerical
 semigroup exactly once, with genus equal to tree depth.
 
-Every walk runs one kernel (Fromentin & Hivert, arXiv:1305.3831).  A node's
-state is ``(mask, rev, m, F, eff, e, pf, alpha, g)``: the membership mask
-and its bit reversal in one width W, m, F, the effective generators (the
+Every walk follows one kernel's rules (Fromentin & Hivert, arXiv:1305.3831).
+A full state is ``(mask, rev, m, F, eff, e, pf, alpha, g)``: the membership
+mask and its bit reversal in one width W, m, F, the effective generators (the
 minimal generators above F) as a mask, e, the pseudo-Frobenius numbers as a
 mask, the gap sum and the genus.  ``_children`` derives each child's state
 from its parent's in O(1) big-int steps.  Counting builds no state below a
 task's root, by Fromentin and Hivert's rule: a node's children are its
 effective generators, and ``_count_job`` derives each child's from them by
-``_children``'s rule (a child loses one when y + m = a + b), so it walks
-(mask, rev, m, eff) alone, to any depth.
+``_children``'s rule (a child loses one when y + m = a + b), so it keeps
+(mask, rev, eff, depth) alone per node, to any depth.
 Statistics add every genus two levels early: every child is its parent
 plus one gap y > F (Bras-Amorós's tree), so ``Accumulator._add_grandchildren``
 adds each state's grandchildren to its depth + 2 without building a child;

@@ -384,6 +384,44 @@ def test_cache_file_not_a_json_object_quarantined(tmp_path, capsys, content):
     assert "warning: unreadable cache file quarantined" in captured.err
 
 
+def test_cache_quarantine_after_another_reader(tmp_path, capsys, monkeypatch):
+    # Two readers meet the same corrupt file: the other one renames it first,
+    # so this reader's rename finds no file. It still reports the quarantine.
+    assert run(["stats", "--genus", "4"]) == 0
+    expected = capsys.readouterr().out
+    path = os.path.join(str(tmp_path), "genus-4.json")
+    real = os.replace
+
+    def moved_first(src, dst):
+        if dst.endswith(".corrupt"):
+            real(src, dst)
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", moved_first)
+    with open(path, "w") as fh:
+        fh.write("{")
+    with pytest.raises(CorruptCache) as info:
+        cache_get(str(tmp_path), 4)
+    assert str(info.value) == f"unreadable cache file quarantined: {path}"
+    assert os.path.exists(path + ".corrupt")
+    with open(path, "w") as fh:
+        fh.write("{")
+    assert run(["stats", "--genus", "4", "--cache-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == f"warning: unreadable cache file quarantined: {path}; recomputing\n"
+
+
+def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    def no_rename(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", no_rename)
+    with pytest.raises(OSError, match="rename failed"):
+        cache_put(str(tmp_path), enumerate_genus(4), 0.0)
+    assert os.listdir(tmp_path) == []
+
+
 def test_cache_used_by_stats(tmp_path, capsys):
     assert run(["stats", "--genus", "6", "--cache-dir", str(tmp_path), "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

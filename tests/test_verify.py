@@ -5,10 +5,12 @@ is seen to fail, and to name the right counterexample, when its oracle is off.
 
 import hashlib
 import inspect
+from functools import partial
 
 import pytest
 
-from numsem import bijections, kunz, kunzcount, polybounds, tree, verify
+from numsem import bijections, kunz, kunzcount, polybounds, stats, tree, verify
+from numsem.core import semigroup_from_gaps
 from numsem.verify import SUITES, run_suite
 
 
@@ -48,6 +50,18 @@ INJECTED = [
         "late gap not pseudo-Frobenius)",
     ),
     (
+        # m leaves the generators and 0 takes its place, so e = e1 + e2 holds.
+        "core-invariants", verify, "_min_gens_mask",
+        lambda mask, m, F: _genus(mask, F) == 9, lambda gens, mask, m, F: gens ^ (1 << m | 1),
+        "core-invariants: FAIL (g=9 S=gaps[1, 2, 3, 4, 5, 6, 7, 8, 9]: "
+        "[m,2m-1] member not a generator)",
+    ),
+    (
+        "core-invariants", verify, "_windows",
+        lambda mask, m, F: _genus(mask, F) == 9, lambda e1_t1, *args: (e1_t1[0], e1_t1[1] + 1),
+        "core-invariants: FAIL (g=9 S=gaps[1, 2, 3, 4, 5, 6, 7, 8, 9]: t != t1+t2)",
+    ),
+    (
         "kunz-roundtrip", kunz, "count_by_kunz",
         lambda g: g == 7, _plus_one,
         "kunz-roundtrip: FAIL (g=7: 39 semigroups vs 40 vectors)",
@@ -59,9 +73,39 @@ INJECTED = [
         "generator characterization)",
     ),
     (
+        # x_1 + x_1 < x_2
+        "kunz-roundtrip", kunz, "kunz_of",
+        lambda S: S.genus == 9, lambda kv, S: kv._replace(coords=(1, 3) + kv.coords[2:]),
+        "kunz-roundtrip: FAIL (g=9 S=gaps[1, 2, 3, 4, 5, 6, 7, 8, 9]: invalid vector "
+        "KunzVector(multiplicity=10, coords=(1, 3, 1, 1, 1, 1, 1, 1, 1)))",
+    ),
+    (
+        # Adding 1 to every coordinate keeps both inequality families.
+        "kunz-roundtrip", kunz, "kunz_of",
+        lambda S: S.genus == 9, lambda kv, S: kv._replace(coords=tuple(x + 1 for x in kv.coords)),
+        "kunz-roundtrip: FAIL (g=9 S=gaps[1, 2, 3, 4, 5, 6, 7, 8, 9]: coordinate sum 18)",
+    ),
+    (
+        "kunz-roundtrip", kunz, "semigroup_of_kunz",
+        lambda kv: kv.genus == 9, _zero,
+        "kunz-roundtrip: FAIL (g=9 S=gaps[1, 2, 3, 4, 5, 6, 7, 8, 9]: round trip mismatch)",
+    ),
+    (
         "bijections", bijections, "count_B",
         lambda g, m: (g, m) == (9, 7), _plus_one,
         "bijections: FAIL (g=9 m=7: |images| != count_B)",
+    ),
+    (
+        # One image of multiplicity 7 swapped for <10, ..., 19>: as many images.
+        "bijections", bijections, "semigroup_from_B",
+        lambda m, B: (m, B) == (7, (1, 2, 3)), lambda S, m, B: semigroup_from_gaps(range(1, 10)),
+        "bijections: FAIL (g=9 m=7: B-images != {F<2m})",
+    ),
+    (
+        "bijections", bijections, "semigroup_from_AB",
+        lambda m, k, A, B: (m, k, B) == (5, 2, (9,)),
+        lambda S, m, k, A, B: bijections.semigroup_from_AB(m, k, A, (8,)),
+        "bijections: FAIL (g=9 k=2: images collide)",
     ),
     (
         "bijections", bijections, "generate_Ak",
@@ -77,6 +121,16 @@ INJECTED = [
         "e2-bounds", polybounds, "e2_bound_value_C",
         lambda g, m, k: (g, k) == (9, 2), _zero,
         "e2-bounds: FAIL (g=9 m=5 k=2: per-m bound)",
+    ),
+    (
+        "e2-bounds", polybounds, "fibonacci",
+        lambda n: n == 10, _zero,
+        "e2-bounds: FAIL (g=9: sum > 2F(g+1))",
+    ),
+    (
+        "e2-bounds", polybounds, "fibonacci",
+        lambda n: n == 12, _zero,
+        "e2-bounds: FAIL (g=8 k=4: sum > 2F(g+k))",
     ),
     (
         "t2-equality", polybounds, "t2_big_value",
@@ -97,6 +151,16 @@ INJECTED = [
         "t2-bounds", polybounds, "t2_bounds_C",
         lambda g, m, k: (g, k) == (9, 3), lambda bounds, g, m, k: (bounds[0], 0),
         "t2-bounds: FAIL (g=9 m=6 k=3: small bound)",
+    ),
+    (
+        "t2-bounds", polybounds, "fibonacci",
+        lambda n: n == 13, _zero,
+        "t2-bounds: FAIL (g=9: sum t2 > F(g+4))",
+    ),
+    (
+        "t2-bounds", polybounds, "fibonacci",
+        lambda n: n == 15, _zero,
+        "t2-bounds: FAIL (g=8 k=4: sum > F(g+k+3))",
     ),
     (
         "counting-m", kunzcount, "count_multiplicity_deficit",
@@ -151,6 +215,53 @@ def test_core_invariants_checks_the_kernel_state(monkeypatch):
     assert str(run_suite("core-invariants", 10)) == (
         "core-invariants: FAIL (g=2 S=gaps[1, 3]: kernel state != from-scratch)"
     )
+
+
+# Roots that no walk of a numerical semigroup reaches, each one breaking a
+# range that a suite checks; each is (real _tasks, width, target) -> roots.
+def _past_the_width(real, width, target):
+    """One root whose first positive member, width + 1, lies past the width."""
+    return [(1 | 1 << (width + 1),) + (0,) * 8]
+
+
+def _gap_above_one(real, width, target):
+    """One root of genus 1 whose gap 2 lies above the member 1."""
+    return [((1 << width) - 1 ^ 0b100,) + (0,) * 7 + (1,)]
+
+
+def _o3_as_multiplicity_5(real, width, target):
+    """The real roots, and O_3 once more, read as multiplicity 5."""
+    roots = real(width, target)
+    return roots + [roots[2][:2] + (5,) + roots[2][3:]]
+
+
+BOGUS_ROOTS = [
+    (_past_the_width, "core-invariants", 0,
+     "core-invariants: FAIL (g=0 S=gaps[1, 2, 3, 4, 5, 6, 7]: m=9 > g+1)"),
+    (_gap_above_one, "core-invariants", 1,
+     "core-invariants: FAIL (g=1 S=gaps[2]: F=2 > 2g-1)"),
+    (_o3_as_multiplicity_5, "bijections", 4,
+     "bijections: FAIL (g=2: m outside [g/2+1, g+1])"),
+]
+
+
+@pytest.mark.parametrize(
+    "roots, suite, gmax, expected", BOGUS_ROOTS, ids=[r[0].__name__[1:] for r in BOGUS_ROOTS]
+)
+def test_range_failure_of_a_bogus_root_is_reported(monkeypatch, roots, suite, gmax, expected):
+    monkeypatch.setattr(tree, "_tasks", partial(roots, tree._tasks))
+    assert str(run_suite(suite, gmax)) == expected
+
+
+@pytest.mark.parametrize("probability, expected", [
+    (lambda agg, n: 0, "membership: FAIL (g=10 n=9: |P-1/phi|=0.6180)"),
+    (lambda agg, n: 0 if n <= 0.55 * agg.genus else 1 / stats.PHI,
+     "membership: FAIL (g=10 n=16: P=0.6180 <= 0.95)"),
+], ids=["middle", "high"])
+def test_membership_failure_is_reported(monkeypatch, probability, expected):
+    agg = tree.enumerate_genus(10)
+    monkeypatch.setattr(stats, "membership_probability", probability)
+    assert str(verify.verify_membership(agg)) == expected
 
 
 OK_AT_8 = {
